@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -254,18 +255,75 @@ def _class_surface(node: ast.ClassDef) -> set[str]:
     return names
 
 
+#: The in-tree package directory: base classes imported from ``repro.*``
+#: modules are read (never imported) from here.
+_PACKAGE_DIR = Path(__file__).resolve().parents[1]
+
+#: Bound on base-class and re-export hops followed while resolving bases.
+_MAX_HOPS = 8
+
+
+class _ModuleIndex:
+    """Top-level classes and import aliases of one parsed module — enough
+    to follow a class's bases to their in-tree definitions."""
+
+    def __init__(self, tree: ast.Module):
+        self.classes = {
+            item.name: item for item in tree.body if isinstance(item, ast.ClassDef)
+        }
+        self.imports = _ImportMap(tree)
+
+    def resolve(self, dotted: str, hops: int = 0):
+        """``(class node, its module index)`` for a name used in this module:
+        a top-level class here, or one imported from an in-tree module
+        (re-exports followed); ``None`` for anything else."""
+        if dotted in self.classes:
+            return self.classes[dotted], self
+        module, _, name = (self.imports.canonical(dotted) or "").rpartition(".")
+        index = _in_tree_module(module) if module and hops < _MAX_HOPS else None
+        return index.resolve(name, hops + 1) if index is not None else None
+
+    def members(self, node: ast.ClassDef, hops: int = 0) -> set[str]:
+        """Every member ``node`` defines or inherits from in-tree bases."""
+        names = _class_surface(node)
+        for base in node.bases:
+            dotted = _dotted(base)
+            found = self.resolve(dotted) if dotted and hops < _MAX_HOPS else None
+            if found is not None:
+                base_node, index = found
+                names |= index.members(base_node, hops + 1)
+        return names
+
+
+@lru_cache(maxsize=None)
+def _in_tree_module(module: str) -> Optional[_ModuleIndex]:
+    """The index of an in-tree ``repro.*`` module's source, else ``None``."""
+    head, *parts = module.split(".")
+    if head != _PACKAGE_DIR.name:
+        return None
+    base = _PACKAGE_DIR.joinpath(*parts)
+    for path in (base.parent / f"{base.name}.py", base / "__init__.py"):
+        if path.is_file():
+            return _ModuleIndex(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    return None
+
+
 def _check_engine_classes(source: SourceFile) -> Iterable[Finding]:
     """Static half: engine-shaped classes carry the full surface.
 
-    A class is engine-shaped when it defines both ``run_batch`` and
+    A class is engine-shaped when it has both ``run_batch`` and
     ``predicate_holds`` — the two members nothing but an execution
-    engine implements.
+    engine implements — counting members inherited from base classes
+    defined in the same file or in an in-tree ``repro.*`` module, so an
+    engine built on the shared :class:`repro.sim.simulation.TrialEngine`
+    is still found, and still flagged when a surface member is missing.
     """
     surface = _engine_surface()
+    index = _ModuleIndex(source.tree)
     for node in ast.walk(source.tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        defined = _class_surface(node)
+        defined = index.members(node)
         if "run_batch" not in defined or "predicate_holds" not in defined:
             continue
         missing = [name for name in surface if name not in defined]

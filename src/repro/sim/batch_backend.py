@@ -82,7 +82,7 @@ from repro.sim.fault_engine import (
 )
 from repro.sim.faults import AvailabilityAccounting, AvailabilityReport, FaultEvent
 from repro.sim.initial_state import Clean, InitialState, Replicated
-from repro.sim.simulation import ConfigPredicate
+from repro.sim.simulation import ConfigPredicate, checkpoints
 
 
 @dataclass(frozen=True)
@@ -270,10 +270,6 @@ class BatchCountsEngine:
     # Per-step wall-clock instrumentation (benchmark breakdowns)
     # ------------------------------------------------------------------
 
-    #: Indirection point so subclasses and tests share one clock (the
-    #: blessed :data:`repro.obs.perf_counter`).
-    _perf_counter = staticmethod(perf_counter)
-
     #: The accounted phases, in hot-loop order (the canonical tuple lives
     #: in :data:`repro.obs.STEP_PHASES`; re-exported here for engines).
     STEP_PHASES: tuple[str, ...] = _STEP_PHASES
@@ -384,21 +380,21 @@ class BatchCountsEngine:
         timings = self._timings
         live = list(range(self.trials))
         position = 0
-        checked = self._perf_counter() if timings is not None else 0.0
+        checked = perf_counter() if timings is not None else 0.0
         live = self._retire_converged(live, outcomes, predicate, position)
         live = self._retire_silent(live, outcomes, states, max_interactions)
         if timings is not None:
-            timings["retire"] += self._perf_counter() - checked
+            timings["retire"] += perf_counter() - checked
         while live and position < max_interactions:
             target = min(position + check_interval, max_interactions)
             self._advance_rows(live, position, target, states)
             position = target
-            checked = self._perf_counter() if timings is not None else 0.0
+            checked = perf_counter() if timings is not None else 0.0
             live = self._retire_converged(live, outcomes, predicate, position)
             if position < max_interactions:
                 live = self._retire_silent(live, outcomes, states, max_interactions)
             if timings is not None:
-                timings["retire"] += self._perf_counter() - checked
+                timings["retire"] += perf_counter() - checked
         for row in live:
             outcomes[row] = RowOutcome(
                 row, False, max_interactions, max_interactions / self.n
@@ -478,11 +474,7 @@ class BatchCountsEngine:
             # Fault-free availability: checkpoint the plain run (the
             # engine's own silence skip already freezes idle stretches).
             accounting = AvailabilityAccounting()
-            position = 0
-            while position < total_interactions:
-                target = min(position + checkpoint_every, total_interactions)
-                sim.run_batch(target - position)
-                position = target
+            for position in checkpoints(sim._advance, total_interactions, checkpoint_every):
                 accounting.checkpoint(position, sim.predicate_holds(correct))
             self._row_events = [[]]
             return accounting.report(
@@ -676,11 +668,10 @@ class BatchCountsEngine:
         counts = self._matrix
         u_flat, v_flat = self.table.flat
         timings = self._timings
-        perf = self._perf_counter
         idx = np.asarray(rows, dtype=np.int64)
         remaining = np.asarray(amounts, dtype=np.int64)
         while idx.size:
-            start = perf() if timings is not None else 0.0
+            start = perf_counter() if timings is not None else 0.0
             lengths = self._runs.next_run_lengths(int(idx.size))
             k = np.minimum(lengths, remaining)
             collide = (remaining > k) & (k == lengths)
@@ -689,14 +680,14 @@ class BatchCountsEngine:
             sample = self._sample_rows(sub, two_k)
             live = int(idx.size)
             if timings is not None:
-                drawn = perf()
+                drawn = perf_counter()
                 timings["draw"] += drawn - start
             if self._matching:
                 # Run applied by pair-type counts: no per-agent arrays.
                 initiators = self._sample_rows(sample, k)
                 matched = self._match_rows(initiators, sample - initiators)
                 if timings is not None:
-                    paired = perf()
+                    paired = perf_counter()
                     timings["match"] += paired - drawn
                 counts[idx] += matched.reshape(live, size * size) @ self._pair_delta
             else:
@@ -713,7 +704,7 @@ class BatchCountsEngine:
                 pair_rows = np.repeat(np.arange(live, dtype=np.int64), k)
                 pair_index = initiators * size + responders
                 if timings is not None:
-                    paired = perf()
+                    paired = perf_counter()
                     timings["match"] += paired - drawn
                 outputs = np.concatenate(
                     (u_flat.take(pair_index), v_flat.take(pair_index))
@@ -727,7 +718,7 @@ class BatchCountsEngine:
                 self._collision_rows(idx[collide], sub[collide] - sample[collide])
                 remaining[collide] -= 1
             if timings is not None:
-                timings["apply"] += perf() - paired
+                timings["apply"] += perf_counter() - paired
             keep = remaining > 0
             if not keep.all():
                 idx = idx[keep]

@@ -70,7 +70,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.protocol import PopulationProtocol
-from repro.obs import STEP_PHASES, perf_counter
+from repro.obs import perf_counter
 from repro.scheduler.rng import derive_seed
 from repro.scheduler.scheduler import CollisionRunSampler
 from repro.sim.array_backend import (
@@ -80,7 +80,7 @@ from repro.sim.array_backend import (
     transition_table_for,
 )
 from repro.sim.metrics import Metrics
-from repro.sim.simulation import ConfigPredicate, SimulationResult
+from repro.sim.simulation import ConfigPredicate, TrialEngine, lap
 
 
 class CountsBackendError(ArrayBackendError):
@@ -291,14 +291,13 @@ def goal_counts_predicate(protocol: PopulationProtocol) -> CountsAwarePredicate:
 # ---------------------------------------------------------------------------
 
 
-class CountsSimulation:
+class CountsSimulation(TrialEngine):
     """Count-vector counterpart of :class:`repro.sim.simulation.Simulation`.
 
-    Mirrors the common engine surface — ``run`` / ``run_batch`` /
-    ``run_until`` / ``metrics`` / ``config`` / ``n`` — over an ``int64``
-    count vector.  Initial state: exactly one of ``config`` (state
-    objects), ``codes`` (encoded codes), ``counts`` (a ready count
-    vector) or ``n`` (clean start).  All randomness comes from one PCG64
+    Implements the per-trial engine surface (:class:`~repro.sim.simulation
+    .TrialEngine`) over an ``int64`` count vector.  Initial state: exactly
+    one of ``config`` (state objects), ``codes`` (encoded codes),
+    ``counts`` (a ready count vector) or ``n`` (clean start).  All randomness comes from one PCG64
     stream seeded with ``derive_seed(seed, 0)`` (the scheduler slot of
     the shared seed-derivation scheme; table protocols are deterministic,
     so the transition slot is never consumed).
@@ -308,9 +307,13 @@ class CountsSimulation:
     law, wildly different speed; tests run both and compare.
 
     Observers are not supported (there are no per-agent interactions to
-    observe); use the object backend for instrumented runs.  Likewise
-    there is no ``RecordedSchedule`` replay: a schedule names agent
-    identities, which this representation deliberately forgets.
+    observe); use the object backend for per-interaction observation.
+    Likewise there is no ``RecordedSchedule`` replay: a schedule names
+    agent identities, which this representation deliberately forgets.
+
+    Step phases: ``draw`` (run lengths + hypergeometric composition),
+    ``match`` (repeat + shuffle pairing), ``apply`` (aggregate delta +
+    collision interaction), ``retire`` (silence + predicate checks).
     """
 
     def __init__(
@@ -362,7 +365,6 @@ class CountsSimulation:
         self._runs = CollisionRunSampler(self.n, self._generator)
         self._codes = np.arange(size, dtype=np.int64)
         self.metrics = Metrics(n=self.n)
-        self._timings: Optional[dict[str, float]] = None
 
     # ------------------------------------------------------------------
 
@@ -370,10 +372,6 @@ class CountsSimulation:
     def config(self) -> list[Any]:
         """The configuration as decoded state objects (shared per code)."""
         return configuration_from_counts(self.protocol, self.counts)
-
-    def run(self, interactions: int) -> None:
-        """Run a fixed number of interactions."""
-        self.run_batch(interactions)
 
     def run_batch(self, count: int) -> None:
         """Run ``count`` interactions through the configured sampler.
@@ -390,88 +388,27 @@ class CountsSimulation:
         """
         if count < 0:
             raise ValueError(f"interaction count must be non-negative, got {count}")
-        timings = self._timings
         if self.batching == BATCHING_PAIR:
             self._run_pairwise(count)
-        elif count and timings is None:
-            if not self.configuration_is_silent():
-                self._run_batched(count)
         elif count:
-            # Instrumented twin path: same calls in the same order, with
-            # the silence check accounted as 'retire'.
-            start = perf_counter()
+            timings = self._timings
+            if timings is not None:
+                mark = perf_counter()
             silent = self.configuration_is_silent()
-            timings["retire"] += perf_counter() - start
+            if timings is not None:
+                lap(timings, "retire", mark)
             if not silent:
-                self._run_batched_timed(count, timings)
+                self._run_batched(count)
         self.metrics.interactions += count
 
-    def run_until(
-        self,
-        predicate: ConfigPredicate,
-        max_interactions: int,
-        check_interval: int = 1,
-    ) -> SimulationResult:
-        """Run until the predicate holds or the budget is exhausted.
-
-        Identical check discipline to the other engines: the predicate is
-        evaluated before the first step and then every ``check_interval``
-        interactions.  A predicate carrying an ``on_counts`` form (see
-        :func:`counts_aware`) is evaluated on the count vector directly;
-        a plain config predicate falls back to an expanded configuration
-        per check — correct, but ``O(n)``.
-        """
-        if check_interval < 1:
-            raise ValueError("check_interval must be positive")
-        if self.predicate_holds(predicate):
-            return self._result(converged=True)
-        remaining = max_interactions
-        while remaining > 0:
-            burst = min(check_interval, remaining)
-            self.run_batch(burst)
-            remaining -= burst
-            if self.predicate_holds(predicate):
-                return self._result(converged=True)
-        return self._result(converged=False)
-
-    def predicate_holds(self, predicate: ConfigPredicate) -> bool:
-        """Evaluate a predicate in this backend's cheapest form.
-
-        Counts-aware predicates read the count vector directly (``O(S)``);
-        plain config predicates get an expanded configuration per call —
-        correct, but ``O(n)``.
-        """
-        timings = self._timings
-        start = perf_counter() if timings is not None else 0.0
+    def _native_predicate(self, predicate: ConfigPredicate) -> bool:
+        """Counts-aware predicates read the count vector directly
+        (``O(S)``); plain config predicates get an expanded configuration
+        per call — correct, but ``O(n)``."""
         on_counts = getattr(predicate, "on_counts", None)
         if on_counts is not None:
-            held = bool(on_counts(self.counts))
-        else:
-            held = bool(predicate(configuration_from_counts(self.protocol, self.counts)))
-        if timings is not None:
-            timings["retire"] += perf_counter() - start
-        return held
-
-    def instrument_steps(self) -> dict[str, float]:
-        """Switch on per-phase wall-clock accounting (common engine surface).
-
-        Returns the live accumulator over :data:`repro.obs.STEP_PHASES`:
-        ``draw`` (run lengths + hypergeometric composition), ``match``
-        (repeat + shuffle pairing), ``apply`` (aggregate delta +
-        collision interaction), ``retire`` (silence + predicate checks).
-        The instrumented sampler (:meth:`_run_batched_timed`) issues the
-        identical generator calls in the identical order — only the
-        monotonic clock is read between sections, so traced and untraced
-        runs stay bit-identical.
-        """
-        if self._timings is None:
-            self._timings = {phase: 0.0 for phase in STEP_PHASES}
-        return self._timings
-
-    @property
-    def step_timings(self) -> Optional[dict[str, float]]:
-        """The accumulator from :meth:`instrument_steps` (``None`` when off)."""
-        return self._timings
+            return bool(on_counts(self.counts))
+        return bool(predicate(configuration_from_counts(self.protocol, self.counts)))
 
     def apply_fault(self, model, burst_size: int, generator) -> None:
         """Inject one fault burst (common engine surface).
@@ -513,7 +450,9 @@ class CountsSimulation:
         the ``numpy.*`` wrapper dispatch that would otherwise rival the
         kernels themselves.  Draw order matches :func:`apply_pair_counts`
         exactly; the aggregate delta differs only in folding the two
-        input-side bincounts into one over the interleaved draw.
+        input-side bincounts into one over the interleaved draw.  An
+        instrumented engine reads the clock between the draw / match /
+        apply sections and nowhere else.
         """
         np = require_numpy()
         rng = self._generator
@@ -526,76 +465,37 @@ class CountsSimulation:
         draw_sample = rng.multivariate_hypergeometric
         shuffle = rng.shuffle
         next_run_length = self._runs.next_run_length
+        timings = self._timings
         remaining = count
         while remaining > 0:
+            if timings is not None:
+                mark = perf_counter()
             length = next_run_length()
             k = min(length, remaining)
             collide = remaining > k and k == length
             if k:
                 sample = draw_sample(counts, 2 * k)
+                if timings is not None:
+                    mark = lap(timings, "draw", mark)
                 drawn = codes.repeat(sample)
                 shuffle(drawn)
                 if collide:
                     avail = counts - sample  # pre-run states of unused agents
+                if timings is not None:
+                    mark = lap(timings, "match", mark)
                 index = drawn[0::2] * size
                 index += drawn[1::2]
                 outputs = concatenate((u_flat.take(index), v_flat.take(index)))
                 counts += bincount(outputs, minlength=size)
                 counts -= bincount(drawn, minlength=size)
                 remaining -= k
+            elif timings is not None:
+                mark = lap(timings, "draw", mark)
             if collide:
                 self._collision_interaction(avail)
                 remaining -= 1
-
-    def _run_batched_timed(self, count: int, timings: dict) -> None:
-        """Instrumented twin of :meth:`_run_batched`.
-
-        Byte-for-byte the same generator calls in the same order — the
-        only additions are :func:`repro.obs.perf_counter` reads between
-        the draw / match / apply sections, so an instrumented run's
-        trajectory is bit-identical to an uninstrumented one.  Kept as a
-        twin so the uninstrumented hot loop pays nothing.
-        """
-        np = require_numpy()
-        counts = self.counts
-        codes = self._codes
-        size = self.num_states
-        u_flat, v_flat = self.table.flat
-        bincount = np.bincount
-        concatenate = np.concatenate
-        draw_sample = self._generator.multivariate_hypergeometric
-        shuffle = self._generator.shuffle
-        next_run_length = self._runs.next_run_length
-        remaining = count
-        while remaining > 0:
-            start = perf_counter()
-            length = next_run_length()
-            k = min(length, remaining)
-            collide = remaining > k and k == length
-            if k:
-                sample = draw_sample(counts, 2 * k)
-                drawn_at = perf_counter()
-                timings["draw"] += drawn_at - start
-                drawn = codes.repeat(sample)
-                shuffle(drawn)
-                if collide:
-                    avail = counts - sample
-                matched_at = perf_counter()
-                timings["match"] += matched_at - drawn_at
-                index = drawn[0::2] * size
-                index += drawn[1::2]
-                outputs = concatenate((u_flat.take(index), v_flat.take(index)))
-                counts += bincount(outputs, minlength=size)
-                counts -= bincount(drawn, minlength=size)
-                remaining -= k
-                timings["apply"] += perf_counter() - matched_at
-            else:
-                timings["draw"] += perf_counter() - start
-            if collide:
-                collided_at = perf_counter()
-                self._collision_interaction(avail)
-                remaining -= 1
-                timings["apply"] += perf_counter() - collided_at
+            if timings is not None:
+                lap(timings, "apply", mark)
 
     def _collision_interaction(self, avail) -> None:
         """One interaction conditioned on touching an already-used agent.
@@ -663,14 +563,3 @@ class CountsSimulation:
             b = self._draw_state(counts, self.n - 1)
             counts[a] += 1
             self._apply_one(a, b)
-
-    # ------------------------------------------------------------------
-
-    def _result(self, converged: bool) -> SimulationResult:
-        return SimulationResult(
-            converged=converged,
-            interactions=self.metrics.interactions,
-            parallel_time=self.metrics.parallel_time,
-            metrics=self.metrics,
-            config=self.config,
-        )

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional
 from weakref import WeakKeyDictionary
 
@@ -76,7 +77,7 @@ from repro.core.protocol import PopulationProtocol
 from repro.scheduler.rng import make_rng, np_stream
 from repro.sim.array_backend import require_numpy
 from repro.sim.faults import AvailabilityAccounting, AvailabilityReport, FaultEvent
-from repro.sim.simulation import ConfigPredicate, SimulationResult
+from repro.sim.simulation import ConfigPredicate, SimulationResult, checkpoints, drive_until
 
 #: Derived-seed stream tags under a :class:`FaultEngine` seed: the burst
 #: *schedule* stream (identical consumption on every backend) and the
@@ -473,7 +474,8 @@ class FaultEngine:
     fixed seed the burst schedule (interaction indices and count) is
     bit-identical on every engine, while the corruption matches in law.
 
-    Attach to a *fresh* simulation (``metrics.interactions == 0``); the
+    Attach to a *fresh* simulation (``metrics.interactions == 0``, checked
+    by both drivers: burst positions and the budget count from zero); the
     drivers below own the run loop, slicing ``run_batch`` exactly at
     burst boundaries (which keeps the counts backend's collision-free
     runs law-exact — a truncated run restarted from the current counts is
@@ -510,7 +512,7 @@ class FaultEngine:
 
     # ------------------------------------------------------------------
 
-    def _advance_to(self, sim, position: int, target: int) -> int:
+    def _advance_to(self, sim, position: int, target: int) -> None:
         """Run ``sim`` from ``position`` to ``target`` interactions,
         firing every burst scheduled on the way (at the first interaction
         boundary at or after its continuous arrival time)."""
@@ -526,7 +528,6 @@ class FaultEngine:
             self._next_burst += self._schedule.exponential(self.mean_gap)
         if target > position:
             sim.run_batch(target - position)
-        return target
 
     @property
     def fault_bursts(self) -> int:
@@ -547,23 +548,15 @@ class FaultEngine:
         """Run ``sim`` under continuous injection until the predicate holds.
 
         The backend-generic counterpart of every engine's ``run_until``:
-        same check discipline (before the first step, then every
-        ``check_interval`` interactions, via ``sim.predicate_holds`` so
-        counts-aware predicates stay ``O(S)``), with bursts injected at
-        their scheduled interaction boundaries in between.
+        the same check loop (:func:`repro.sim.simulation.drive_until`),
+        with bursts injected at their scheduled interaction boundaries in
+        between.
         """
-        if check_interval < 1:
-            raise ValueError("check_interval must be positive")
-        if sim.predicate_holds(predicate):
-            return self._result(sim, converged=True)
-        position = 0
-        while position < max_interactions:
-            position = self._advance_to(
-                sim, position, min(position + check_interval, max_interactions)
-            )
-            if sim.predicate_holds(predicate):
-                return self._result(sim, converged=True)
-        return self._result(sim, converged=False)
+        self._require_fresh(sim)
+        return drive_until(
+            sim, predicate, max_interactions, check_interval,
+            partial(self._advance_to, sim),
+        )
 
     def measure_availability(
         self,
@@ -583,29 +576,23 @@ class FaultEngine:
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
+        self._require_fresh(sim)
         accounting = AvailabilityAccounting()
-        position = 0
-        while position < total_interactions:
-            position = self._advance_to(
-                sim, position, min(position + checkpoint_every, total_interactions)
-            )
+        advance = partial(self._advance_to, sim)
+        for position in checkpoints(advance, total_interactions, checkpoint_every):
             accounting.note_events(self.events)
             accounting.checkpoint(position, sim.predicate_holds(correct))
         return accounting.report(
             total_interactions=total_interactions, fault_bursts=len(self.events)
         )
 
-    # ------------------------------------------------------------------
-
     @staticmethod
-    def _result(sim, converged: bool) -> SimulationResult:
-        return SimulationResult(
-            converged=converged,
-            interactions=sim.metrics.interactions,
-            parallel_time=sim.metrics.parallel_time,
-            metrics=sim.metrics,
-            config=sim.config,
-        )
+    def _require_fresh(sim) -> None:
+        if sim.metrics.interactions:
+            raise ValueError(
+                "a FaultEngine must attach to a fresh simulation, but this one "
+                f"has already run {sim.metrics.interactions} interactions"
+            )
 
 
 def make_fault_engine(

@@ -50,6 +50,7 @@ import os
 from typing import Any, Optional
 
 from repro.core.protocol import PopulationProtocol
+from repro.obs import perf_counter
 from repro.scheduler.rng import derive_seed
 from repro.sim.batch_backend import BatchCountsEngine
 from repro.sim.counts_backend import CountsBackendError
@@ -542,13 +543,12 @@ class JitBatchCountsEngine(BatchCountsEngine):
         make the draw sequence identical to the fused kernel's.
         """
         np_mod = self._np
-        perf = self._perf_counter
         size = self.num_states
         counts = self._matrix
         timings = self._timings
         while idx.size:
             live = int(idx.size)
-            start = perf()
+            start = perf_counter()
             k = np_mod.empty(live, dtype=np_mod.int64)
             collide = np_mod.zeros(live, dtype=np_mod.bool_)
             _k_phase_lengths(
@@ -558,7 +558,7 @@ class JitBatchCountsEngine(BatchCountsEngine):
             sub = counts[idx]
             sample = np_mod.empty((live, size), dtype=np_mod.int64)
             _k_phase_sample(sub, idx, 2 * k, self._keys, self._counters, sample)
-            drawn = perf()
+            drawn = perf_counter()
             timings["draw"] += drawn - start
             initiators = np_mod.empty((live, size), dtype=np_mod.int64)
             _k_phase_sample(sample, idx, k, self._keys, self._counters, initiators)
@@ -567,7 +567,7 @@ class JitBatchCountsEngine(BatchCountsEngine):
                 initiators, sample - initiators, idx, self._keys, self._counters,
                 matched,
             )
-            paired = perf()
+            paired = perf_counter()
             timings["match"] += paired - drawn
             _k_phase_apply(counts, idx, matched, self._u_out, self._v_out)
             remaining = remaining - k
@@ -577,7 +577,7 @@ class JitBatchCountsEngine(BatchCountsEngine):
                     self._keys, self._counters, self.n, self._u_out, self._v_out,
                 )
                 remaining[collide] -= 1
-            timings["apply"] += perf() - paired
+            timings["apply"] += perf_counter() - paired
             keep = remaining > 0
             if not keep.all():
                 idx = idx[keep]

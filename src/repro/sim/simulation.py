@@ -15,7 +15,7 @@ transition-function sampling, through two independent derived streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from repro.core.protocol import PopulationProtocol
 from repro.obs import STEP_PHASES, perf_counter
@@ -54,7 +54,158 @@ class SimulationResult:
         return self.converged
 
 
-class Simulation:
+#: ``advance(start, stop)`` runs an engine from relative interaction
+#: ``start`` to ``stop`` (a plain ``run_batch``, or one that also fires
+#: the fault bursts scheduled in between).
+Advance = Callable[[int, int], Any]
+
+
+def lap(timings: dict[str, float], phase: str, since: float) -> float:
+    """Charge the seconds since ``since`` to ``phase``; return the new mark.
+
+    The one clock idiom of the engines' hot loops: each loop reads the
+    clock only under ``if timings is not None``, so an uninstrumented run
+    pays one comparison per section and an instrumented one issues the
+    identical RNG calls in the identical order.
+    """
+    now = perf_counter()
+    timings[phase] += now - since
+    return now
+
+
+def checkpoints(advance: Advance, total: int, every: int) -> Iterator[int]:
+    """Advance through ``total`` interactions, yielding each checkpoint.
+
+    Checkpoints fall every ``every`` interactions and at ``total``; the
+    caller evaluates its predicate at each yielded position.  The shared
+    check discipline of :func:`drive_until` and the availability drivers.
+    """
+    position = 0
+    while position < total:
+        target = min(position + every, total)
+        advance(position, target)
+        position = target
+        yield position
+
+
+def engine_result(sim: Any, converged: bool) -> SimulationResult:
+    """The :class:`SimulationResult` of any engine's current state."""
+    return SimulationResult(
+        converged=converged,
+        interactions=sim.metrics.interactions,
+        parallel_time=sim.metrics.parallel_time,
+        metrics=sim.metrics,
+        config=sim.config,
+    )
+
+
+def drive_until(
+    sim: Any,
+    predicate: ConfigPredicate,
+    max_interactions: int,
+    check_interval: int,
+    advance: Advance,
+) -> SimulationResult:
+    """Run ``sim`` until ``predicate`` holds or the budget is exhausted.
+
+    The predicate is evaluated through ``sim.predicate_holds`` before the
+    first step (an adversarial start may already satisfy it) and then
+    every ``check_interval`` interactions; ``advance`` runs the
+    interactions in between.  Generic over the common engine surface, so
+    :class:`repro.sim.fault_engine.FaultEngine` drives any backend
+    through it with a burst-firing ``advance``.
+    """
+    if check_interval < 1:
+        raise ValueError("check_interval must be positive")
+    if sim.predicate_holds(predicate):
+        return engine_result(sim, converged=True)
+    for _ in checkpoints(advance, max_interactions, check_interval):
+        if sim.predicate_holds(predicate):
+            return engine_result(sim, converged=True)
+    return engine_result(sim, converged=False)
+
+
+class TrialEngine:
+    """The per-trial engine surface, written once.
+
+    A subclass implements ``run_batch(count)`` (with an optional
+    step-phase clock, see :func:`lap`), the native predicate hook
+    :meth:`_native_predicate`, ``apply_fault`` and the ``metrics`` /
+    ``config`` / ``n`` attributes; it inherits ``run``, ``run_until``,
+    the timed ``predicate_holds`` and the ``instrument_steps`` /
+    ``step_timings`` accounting (:data:`repro.sim.backends
+    .ENGINE_SURFACE` lists the whole contract).
+    """
+
+    #: The live step-phase accumulator (``None`` until instrumented).
+    _timings: Optional[dict[str, float]] = None
+
+    if TYPE_CHECKING:  # every subclass implements it (see the class docstring)
+
+        def run_batch(self, count: int) -> None: ...
+
+    def _native_predicate(self, predicate: ConfigPredicate) -> bool:  # pragma: no cover
+        """Evaluate ``predicate`` in this engine's cheapest native form."""
+        raise NotImplementedError
+
+    def run(self, interactions: int) -> None:
+        """Run a fixed number of interactions."""
+        self.run_batch(interactions)
+
+    def run_until(
+        self,
+        predicate: ConfigPredicate,
+        max_interactions: int,
+        check_interval: int = 1,
+    ) -> SimulationResult:
+        """Run until ``predicate`` holds or the budget is exhausted.
+
+        Checks before the first step and then every ``check_interval``
+        interactions, through :meth:`predicate_holds` (see
+        :func:`drive_until`).
+        """
+        return drive_until(self, predicate, max_interactions, check_interval, self._advance)
+
+    def _advance(self, start: int, stop: int) -> None:
+        """Run from relative interaction ``start`` to ``stop`` (an
+        :data:`Advance` for :func:`checkpoints`)."""
+        self.run_batch(stop - start)
+
+    def predicate_holds(self, predicate: ConfigPredicate) -> bool:
+        """Evaluate a convergence/correctness predicate on the current state.
+
+        Part of the common engine surface (see :mod:`repro.sim.backends`):
+        the engine's :meth:`_native_predicate` answers in its cheapest
+        form; an instrumented engine charges the call to ``retire``.
+        """
+        timings = self._timings
+        if timings is None:
+            return self._native_predicate(predicate)
+        start = perf_counter()
+        held = self._native_predicate(predicate)
+        lap(timings, "retire", start)
+        return held
+
+    def instrument_steps(self) -> dict[str, float]:
+        """Switch on per-phase wall-clock accounting (common engine surface).
+
+        Returns the live accumulator mapping :data:`repro.obs.STEP_PHASES`
+        to seconds spent so far (each engine's docstring says which of
+        its sections land in ``draw`` / ``match`` / ``apply`` /
+        ``retire``).  Instrumentation only reads the monotonic clock; the
+        RNG streams are consumed identically, so results never change.
+        """
+        if self._timings is None:
+            self._timings = {phase: 0.0 for phase in STEP_PHASES}
+        return self._timings
+
+    @property
+    def step_timings(self) -> Optional[dict[str, float]]:
+        """The accumulator from :meth:`instrument_steps` (``None`` when off)."""
+        return self._timings
+
+
+class Simulation(TrialEngine):
     """A single protocol execution under the uniform random scheduler.
 
     The configuration arguments are keyword-only: ``Simulation(p, cfg)``
@@ -62,6 +213,10 @@ class Simulation:
     7)`` an ``n``-shaped int to ``seed``) silently; now both get the
     pointed :class:`TypeError` from :func:`~repro.sim.initial_state
     .reject_positional`.
+
+    Step phases: ``draw`` (scheduler pair generation), ``apply``
+    (transition dispatch), ``retire`` (predicate checks); ``match`` stays
+    zero — the object engine has no separate pairing phase.
     """
 
     def __init__(
@@ -90,7 +245,6 @@ class Simulation:
         self.scheduler = RandomScheduler(self.n, self._scheduler_rng)
         self.metrics = Metrics(n=self.n)
         self.observers: list[Observer] = []
-        self._timings: Optional[dict[str, float]] = None
 
     # ------------------------------------------------------------------
 
@@ -103,10 +257,6 @@ class Simulation:
             observer(self, i, j)
         return i, j
 
-    def run(self, interactions: int) -> None:
-        """Run a fixed number of interactions."""
-        self.run_batch(interactions)
-
     def run_batch(self, count: int) -> None:
         """Run ``count`` interactions through the batched fast path.
 
@@ -114,7 +264,10 @@ class Simulation:
         .pairs` iterator — each pair is drawn, unpacked, and freed in turn
         (never a list of ``count`` tuples) — and transitions run in a
         tight loop that touches only locals; the interaction counter is
-        bumped once per batch.  Because observers may read
+        bumped once per batch.  An instrumented engine materializes the
+        pairs first so draw and apply time separate cleanly; the
+        scheduler and transition streams are independent, so either order
+        consumes both streams identically.  Because observers may read
         ``metrics.interactions`` (or mutate the configuration) mid-run,
         any registered observer routes the batch through the per-step path
         instead — either way the RNG streams are consumed identically, so
@@ -130,83 +283,19 @@ class Simulation:
         transition = self.protocol.transition
         rng = self.transition_rng
         timings = self._timings
+        pairs = self.scheduler.pairs(count)
         if timings is not None:
-            # Instrumented twin of the fast path: the pair draws are
-            # materialized first so draw and apply time separate cleanly.
-            # The scheduler and transition streams are independent, so
-            # batching the draws consumes both streams in the same order
-            # — instrumented runs stay bit-identical (tests pin this).
-            start = perf_counter()
-            pairs = list(self.scheduler.pairs(count))
-            drawn = perf_counter()
-            timings["draw"] += drawn - start
-            for i, j in pairs:
-                transition(config[i], config[j], rng)
-            timings["apply"] += perf_counter() - drawn
-            self.metrics.interactions += count
-            return
-        for i, j in self.scheduler.pairs(count):
+            mark = perf_counter()
+            pairs = list(pairs)
+            mark = lap(timings, "draw", mark)
+        for i, j in pairs:
             transition(config[i], config[j], rng)
+        if timings is not None:
+            lap(timings, "apply", mark)
         self.metrics.interactions += count
 
-    def run_until(
-        self,
-        predicate: ConfigPredicate,
-        max_interactions: int,
-        check_interval: int = 1,
-    ) -> SimulationResult:
-        """Run until ``predicate(config)`` holds or the budget is exhausted.
-
-        The predicate is evaluated before the first step (an adversarial
-        start may already satisfy it) and then every ``check_interval``
-        interactions.
-        """
-        if check_interval < 1:
-            raise ValueError("check_interval must be positive")
-        if self.predicate_holds(predicate):
-            return self._result(converged=True)
-        remaining = max_interactions
-        while remaining > 0:
-            burst = min(check_interval, remaining)
-            self.run_batch(burst)
-            remaining -= burst
-            if self.predicate_holds(predicate):
-                return self._result(converged=True)
-        return self._result(converged=False)
-
-    def predicate_holds(self, predicate: ConfigPredicate) -> bool:
-        """Evaluate a convergence/correctness predicate on the current state.
-
-        Part of the common engine surface (see :mod:`repro.sim.backends`):
-        each backend evaluates predicates in its cheapest native form —
-        here, simply on the configuration list.
-        """
-        timings = self._timings
-        if timings is None:
-            return bool(predicate(self.config))
-        start = perf_counter()
-        held = bool(predicate(self.config))
-        timings["retire"] += perf_counter() - start
-        return held
-
-    def instrument_steps(self) -> dict[str, float]:
-        """Switch on per-phase wall-clock accounting (common engine surface).
-
-        Returns the live accumulator mapping :data:`repro.obs.STEP_PHASES`
-        to seconds: ``draw`` (scheduler pair generation), ``apply``
-        (transition dispatch), ``retire`` (predicate checks); ``match``
-        stays zero — the object engine has no separate pairing phase.
-        Instrumentation only reads the monotonic clock; the RNG streams
-        are consumed identically, so results never change.
-        """
-        if self._timings is None:
-            self._timings = {phase: 0.0 for phase in STEP_PHASES}
-        return self._timings
-
-    @property
-    def step_timings(self) -> Optional[dict[str, float]]:
-        """The accumulator from :meth:`instrument_steps` (``None`` when off)."""
-        return self._timings
+    def _native_predicate(self, predicate: ConfigPredicate) -> bool:
+        return bool(predicate(self.config))
 
     def apply_fault(self, model, burst_size: int, generator) -> None:
         """Inject one fault burst (common engine surface).
@@ -216,15 +305,6 @@ class Simulation:
         list in place, drawing victims and replacements from ``generator``.
         """
         model.apply_config(self.protocol, self.config, burst_size, generator)
-
-    def _result(self, converged: bool) -> SimulationResult:
-        return SimulationResult(
-            converged=converged,
-            interactions=self.metrics.interactions,
-            parallel_time=self.metrics.parallel_time,
-            metrics=self.metrics,
-            config=self.config,
-        )
 
 
 def resolve_backend(backend: Optional[str] = None, *misused: Any) -> str:

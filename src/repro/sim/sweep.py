@@ -689,9 +689,9 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         seed=spec.seed, backend=spec.backend,
     )
     # With a trace sink configured, collect the engine's step-phase
-    # breakdown for this trial.  The instrumented drive is a twin of the
-    # plain one issuing identical RNG calls in identical order, so the
-    # outcome stays bit-identical (a tier-1 test holds that equality).
+    # breakdown for this trial.  Instrumentation only adds clock reads to
+    # the engine's one drive loop, so the outcome stays bit-identical (a
+    # tier-1 test holds that equality).
     tracer = get_tracer()
     timings = sim.instrument_steps() if tracer.enabled else None
     started = perf_counter() if tracer.enabled else 0.0

@@ -310,6 +310,24 @@ class TestDrivers:
         assert result.converged and result.interactions == 0
         assert engine.fault_bursts == 0
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_drivers_reject_a_simulation_that_already_ran(self, epidemic, backend):
+        # Burst positions and the budget count from zero, so a used engine
+        # would report absolute interactions against relative bursts.
+        sim = make_simulation(epidemic, init=CodeArray(infected_codes(64)), seed=1,
+                              backend=backend)
+        sim.run(10)
+        engine = make_fault_engine("crash_reset", epidemic, n=64, rate=1.0, seed=3)
+        predicate = goal_counts_predicate(epidemic)
+        with pytest.raises(ValueError, match="fresh simulation.*10 interactions"):
+            engine.run_until(sim, predicate, max_interactions=1_000, check_interval=10)
+        with pytest.raises(ValueError, match="fresh simulation"):
+            engine.measure_availability(
+                sim, predicate, total_interactions=1_000, checkpoint_every=10
+            )
+        assert engine.fault_bursts == 0
+        assert sim.metrics.interactions == 10
+
     def test_availability_report_shape(self, epidemic):
         sim = make_simulation(epidemic, init=CodeArray(infected_codes(128)), seed=4,
                               backend="array")

@@ -103,6 +103,53 @@ class TestShippedTreeClean:
         assert all(rule_id in listing.stdout for rule_id in rule_ids())
 
 
+class TestInheritedEngineSurface:
+    """L002's static half credits members inherited from in-tree bases."""
+
+    def test_inheriting_engine_missing_a_member_is_flagged(self):
+        fixture = FIXTURES / "inherited_engine_violation.py"
+        report = run_lint([str(fixture)], base=REPO_ROOT)
+        (finding,) = report.findings
+        assert finding.rule == "L002"
+        assert "ForgetfulEngine" in finding.message
+        # Only the missing member is named: the rest is inherited.
+        assert finding.message.endswith("member(s): apply_fault")
+
+    def test_same_file_base_is_followed(self, tmp_path):
+        source = tmp_path / "local_base.py"
+        source.write_text(
+            "class Base:\n"
+            "    def run_batch(self, count):\n"
+            "        pass\n\n"
+            "    def predicate_holds(self, predicate):\n"
+            "        return True\n\n\n"
+            "class Engine(Base):\n"
+            "    def run(self, count):\n"
+            "        pass\n"
+        )
+        report = run_lint([str(source)], base=tmp_path, rules_filter="L002")
+        flagged = {f.message.split()[2] for f in report.findings}
+        assert flagged == {"Base", "Engine"}
+
+    @pytest.mark.parametrize(
+        "relpath, engine",
+        [
+            ("src/repro/sim/simulation.py", "Simulation"),
+            ("src/repro/sim/array_backend.py", "ArraySimulation"),
+            ("src/repro/sim/counts_backend.py", "CountsSimulation"),
+        ],
+    )
+    def test_shipped_engine_with_deleted_member_is_flagged(self, tmp_path, relpath, engine):
+        text = (REPO_ROOT / relpath).read_text()
+        assert text.count("    def apply_fault(") == 1
+        mutant = tmp_path / Path(relpath).name
+        mutant.write_text(text.replace("    def apply_fault(", "    def _apply_fault("))
+        report = run_lint([str(mutant)], base=tmp_path, rules_filter="L002")
+        assert [f.message for f in report.findings] == [
+            f"engine class {engine} is missing backend-surface member(s): apply_fault"
+        ]
+
+
 class TestWaivers:
     def _waive(self, tmp_path: Path, fixture_name: str, rule_id: str) -> Path:
         """Copy a fixture with a waiver comment on each flagged line."""

@@ -194,8 +194,16 @@ class TestMetrics:
         assert list(STEP_PHASES) == ["draw", "match", "apply", "retire"]
 
 
+def final_state(sim):
+    """The engine's full native state: counts, codes or the config itself."""
+    for native in ("counts", "codes"):
+        if hasattr(sim, native):
+            return getattr(sim, native).tolist()
+    return repr(sim.config)
+
+
 class TestBitIdentity:
-    """Tracing (and the instrumented twin loops behind it) never changes
+    """Tracing (and the step-phase clock reads behind it) never changes
     results — the observability invariant, per backend."""
 
     @pytest.mark.parametrize("backend", sorted(backend_names()))
@@ -216,7 +224,8 @@ class TestBitIdentity:
             build = lambda: make_simulation(
                 protocol, init=CountVector([n - 1, 1]), seed=3, backend=backend
             )
-        plain = build().run_until(predicate, max_interactions=50_000, check_interval=64)
+        plain_sim = build()
+        plain = plain_sim.run_until(predicate, max_interactions=50_000, check_interval=64)
         instrumented_sim = build()
         timings = instrumented_sim.instrument_steps()
         traced = instrumented_sim.run_until(
@@ -224,8 +233,26 @@ class TestBitIdentity:
         )
         assert traced.interactions == plain.interactions
         assert traced.converged == plain.converged
+        assert final_state(instrumented_sim) == final_state(plain_sim)
         assert set(timings) == set(STEP_PHASES)
         assert sum(timings.values()) > 0.0
+
+    def test_instrumented_counts_run_matches_plain_across_many_runs(self):
+        """A budget spanning thousands of collision-free runs, cut at many
+        check intervals, ends in the same count vector when instrumented."""
+        protocol = EpidemicProtocol()
+        n = 200_000
+        sims = [
+            make_simulation(protocol, init=CountVector([n - 1, 1]), seed=8, backend="counts")
+            for _ in range(2)
+        ]
+        timings = sims[1].instrument_steps()
+        for sim in sims:
+            for chunk in (1, 999, 12_345, 400_000, 7, 1_000_000):
+                sim.run_batch(chunk)
+        assert 0 < sims[0].counts[1] < n  # mid-epidemic: nothing was skipped
+        assert final_state(sims[1]) == final_state(sims[0])
+        assert timings["draw"] > 0.0 and timings["match"] > 0.0 and timings["apply"] > 0.0
 
     @pytest.mark.parametrize("backend", sorted(backend_names()))
     def test_traced_sweep_checkpoint_is_byte_identical(
