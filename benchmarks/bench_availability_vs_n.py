@@ -41,7 +41,7 @@ from conftest import FAST, run_once, update_perf_summary
 from repro.obs import perf_counter
 from repro.sim.backends import make_simulation
 from repro.sim.counts_backend import goal_counts_predicate
-from repro.sim.fault_engine import make_fault_engine
+from repro.sim.fault_engine import FaultEngine
 from repro.sim.initial_state import CodeArray
 from repro.substrates.epidemics import EpidemicProtocol
 
@@ -74,8 +74,8 @@ def _measure(protocol, predicate, backend: str, n: int, *, rate=RATE, seed=21,
     """One availability run; returns (report, seconds, burst schedule)."""
     sim = make_simulation(protocol, init=CodeArray(_infected_codes(n)),
                           seed=seed, backend=backend)
-    engine = make_fault_engine(model, protocol, n=n, rate=rate, burst_size=BURST,
-                               seed=seed + 1)
+    engine = FaultEngine(model, protocol, n=n, rate=rate, burst_size=BURST,
+                         seed=seed + 1)
     start = perf_counter()
     report = engine.measure_availability(
         sim, predicate,

@@ -315,8 +315,9 @@ def random_soup(protocol: ElectLeader, rng: RNG) -> list[AgentState]:
 
 
 def single_agent_scrambler(protocol: ElectLeader):
-    """An :class:`~repro.sim.faults.FaultInjector`-compatible corruption:
-    replaces one agent's entire memory with independent garbage."""
+    """An :data:`~repro.sim.faults.AgentCorruption` that replaces one
+    agent's entire memory with independent garbage — the ``ElectLeader_r``
+    leg of the ``scramble_burst`` fault model."""
 
     def corrupt(state: AgentState, rng: RNG) -> AgentState:
         return random_agent(protocol, rng)

@@ -43,6 +43,7 @@ finite-state protocols, else the default ``object`` engine (or
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -106,8 +107,8 @@ def _tradeoff_r(text: str) -> int:
 
 def _fault_rate(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"fault rate must be >= 0, got {value}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"fault rate must be finite and >= 0, got {value}")
     return value
 
 

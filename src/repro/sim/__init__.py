@@ -21,7 +21,6 @@ from repro.sim.fault_engine import (
     FaultSpec,
     fault_model_names,
     get_fault_model,
-    make_fault_engine,
     register_fault_model,
 )
 from repro.sim.initial_state import (
@@ -35,7 +34,7 @@ from repro.sim.initial_state import (
     reject_removed_kwargs,
     require_init,
 )
-from repro.sim.faults import AvailabilityReport, FaultInjector, measure_availability
+from repro.sim.faults import AvailabilityReport
 from repro.sim.metrics import Metrics
 from repro.sim.parallel import (
     TrialOutcome,
@@ -176,9 +175,7 @@ __all__ = [
     "correct_ranking",
     "all_of",
     "any_of",
-    "FaultInjector",
     "AvailabilityReport",
-    "measure_availability",
     "FAULT_MODELS",
     "FaultEngine",
     "FaultEngineError",
@@ -186,7 +183,6 @@ __all__ = [
     "FaultSpec",
     "fault_model_names",
     "get_fault_model",
-    "make_fault_engine",
     "register_fault_model",
     "ProtocolTracer",
     "TraceEvent",

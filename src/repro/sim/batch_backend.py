@@ -36,16 +36,17 @@ the same seed), so single-trial batches are bit-for-bit the per-trial
 engine — the anchor the test suite pins.
 
 **Faults.**  Each row may carry a :class:`~repro.sim.fault_engine
-.FaultSpec`; the lockstep loop is sliced at every row's burst
-boundaries, with the row dropping out of the stepping set, firing its
-burst from its own schedule/corruption streams (the same derived-seed
-tags a :class:`~repro.sim.fault_engine.FaultEngine` uses), and
-re-entering.  Burst *positions* are a pure function of the schedule
-stream, so a row's burst schedule is bit-identical to a per-trial
-``FaultEngine`` under the same ``FaultSpec`` — the cross-engine gate E22
-enforces.  Bursts never land on retired rows: a converged row's
-per-trial twin stops running at its passing check, so later bursts are
-never fired there either.
+.FaultSpec`, from which the row gets its own
+:class:`~repro.sim.fault_engine.FaultEngine`: rows run that engine's
+schedule.  The lockstep loop is sliced at every row's burst boundaries
+(:attr:`~repro.sim.fault_engine.FaultEngine.next_fire_at`), with the row
+dropping out of the stepping set, firing its burst through
+:meth:`~repro.sim.fault_engine.FaultEngine.fire` with a counts-row
+applier, and re-entering.  A row's burst schedule is therefore
+bit-identical to a per-trial ``FaultEngine`` under the same
+``FaultSpec`` — the cross-engine gate E22 enforces.  Bursts never land
+on retired rows: a converged row's per-trial twin stops running at its
+passing check, so later bursts are never fired there either.
 
 Construction goes through the backend registry
 (``make_simulation(backend="batch")``) with a
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional, Sequence
 
 from repro.core.protocol import PopulationProtocol
@@ -74,12 +76,7 @@ from repro.sim.counts_backend import (
     configuration_from_counts,
     counts_are_silent,
 )
-from repro.sim.fault_engine import (
-    _CORRUPT_STREAM,
-    _SCHEDULE_STREAM,
-    FaultSpec,
-    get_fault_model,
-)
+from repro.sim.fault_engine import FaultEngine, FaultSpec
 from repro.sim.faults import AvailabilityAccounting, AvailabilityReport, FaultEvent
 from repro.sim.initial_state import Clean, InitialState, Replicated
 from repro.sim.simulation import ConfigPredicate, checkpoints
@@ -93,38 +90,6 @@ class RowOutcome:
     converged: bool
     interactions: int
     parallel_time: float
-
-
-class _RowFaultState:
-    """One row's materialized :class:`FaultSpec` — streams, clock, events.
-
-    The per-row twin of a :class:`~repro.sim.fault_engine.FaultEngine`'s
-    mutable state: the schedule stream is seeded and consumed exactly as
-    the engine's (one exponential at construction, one per fired burst),
-    so the burst positions recorded in ``events`` are bit-identical to
-    the per-trial engine's under the same spec.
-    """
-
-    __slots__ = (
-        "model", "burst_size", "mean_gap", "schedule", "corrupt",
-        "next_burst", "events",
-    )
-
-    def __init__(self, spec: FaultSpec, protocol: PopulationProtocol, n: int):
-        np = require_numpy()
-        if spec.rate <= 0:
-            raise ValueError("fault rate must be positive")
-        if spec.burst_size < 1:
-            raise ValueError("burst size must be at least one agent")
-        model = get_fault_model(spec.model) if isinstance(spec.model, str) else spec.model
-        model.require(protocol)
-        self.model = model
-        self.burst_size = spec.burst_size
-        self.mean_gap = n / spec.rate
-        self.schedule = np_stream(spec.seed, _SCHEDULE_STREAM)
-        self.corrupt = np_stream(spec.seed, _CORRUPT_STREAM)
-        self.next_burst = self.schedule.exponential(self.mean_gap)
-        self.events: list[FaultEvent] = []
 
 
 class BatchCountsEngine:
@@ -367,32 +332,30 @@ class BatchCountsEngine:
         """
         if check_interval < 1:
             raise ValueError("check_interval must be positive")
-        specs = self._normalize_faults(faults)
-        self._claim_drive()
+        engines = self._fault_engines(faults)
+        self._claim_drive(engines)
         if self._single is not None:
             return [self._drive_single_until(
-                predicate, max_interactions, check_interval, specs[0]
+                predicate, max_interactions, check_interval, engines[0]
             )]
 
-        states = [self._make_fault_state(spec) for spec in specs]
-        self._row_events = [state.events if state else [] for state in states]
         outcomes: list[Optional[RowOutcome]] = [None] * self.trials
         timings = self._timings
         live = list(range(self.trials))
         position = 0
         checked = perf_counter() if timings is not None else 0.0
         live = self._retire_converged(live, outcomes, predicate, position)
-        live = self._retire_silent(live, outcomes, states, max_interactions)
+        live = self._retire_silent(live, outcomes, engines, max_interactions)
         if timings is not None:
             timings["retire"] += perf_counter() - checked
         while live and position < max_interactions:
             target = min(position + check_interval, max_interactions)
-            self._advance_rows(live, position, target, states)
+            self._advance_rows(live, position, target, engines)
             position = target
             checked = perf_counter() if timings is not None else 0.0
             live = self._retire_converged(live, outcomes, predicate, position)
             if position < max_interactions:
-                live = self._retire_silent(live, outcomes, states, max_interactions)
+                live = self._retire_silent(live, outcomes, engines, max_interactions)
             if timings is not None:
                 timings["retire"] += perf_counter() - checked
         for row in live:
@@ -418,34 +381,32 @@ class BatchCountsEngine:
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
-        specs = self._normalize_faults(faults)
-        self._claim_drive()
+        engines = self._fault_engines(faults)
+        self._claim_drive(engines)
         if self._single is not None:
             return [self._drive_single_availability(
-                correct, total_interactions, checkpoint_every, specs[0]
+                correct, total_interactions, checkpoint_every, engines[0]
             )]
 
-        states = [self._make_fault_state(spec) for spec in specs]
-        self._row_events = [state.events if state else [] for state in states]
         accounting = [AvailabilityAccounting() for _ in range(self.trials)]
         frozen: set[int] = set()
         position = 0
         while position < total_interactions:
             target = min(position + checkpoint_every, total_interactions)
             active = [row for row in range(self.trials) if row not in frozen]
-            self._advance_rows(active, position, target, states)
+            self._advance_rows(active, position, target, engines)
             position = target
             for row in range(self.trials):
-                state = states[row]
-                if state is not None:
-                    accounting[row].note_events(state.events)
+                engine = engines[row]
+                if engine is not None:
+                    accounting[row].note_events(engine.events)
                 accounting[row].checkpoint(position, self._row_predicate(correct, row))
-                if row not in frozen and state is None and self._row_silent(row):
+                if row not in frozen and engine is None and self._row_silent(row):
                     frozen.add(row)
         return [
             accounting[row].report(
                 total_interactions=total_interactions,
-                fault_bursts=len(states[row].events) if states[row] else 0,
+                fault_bursts=len(self._row_events[row]),
             )
             for row in range(self.trials)
         ]
@@ -454,39 +415,32 @@ class BatchCountsEngine:
     # T=1 delegation drivers (bit-identical to the per-trial engines)
     # ------------------------------------------------------------------
 
-    def _drive_single_until(self, predicate, max_interactions, check_interval, spec):
+    def _drive_single_until(self, predicate, max_interactions, check_interval, engine):
         sim = self._single_sim()
-        if spec is None:
-            self._row_events = [[]]
+        if engine is None:
             result = sim.run_until(predicate, max_interactions, check_interval)
         else:
-            engine = spec.make_engine(self.protocol, n=self.n)
             result = engine.run_until(
                 sim, predicate,
                 max_interactions=max_interactions, check_interval=check_interval,
             )
-            self._row_events = [engine.events]
         return RowOutcome(0, result.converged, result.interactions, result.parallel_time)
 
-    def _drive_single_availability(self, correct, total_interactions, checkpoint_every, spec):
+    def _drive_single_availability(self, correct, total_interactions, checkpoint_every, engine):
         sim = self._single_sim()
-        if spec is None:
+        if engine is None:
             # Fault-free availability: checkpoint the plain run (the
             # engine's own silence skip already freezes idle stretches).
             accounting = AvailabilityAccounting()
             for position in checkpoints(sim._advance, total_interactions, checkpoint_every):
                 accounting.checkpoint(position, sim.predicate_holds(correct))
-            self._row_events = [[]]
             return accounting.report(
                 total_interactions=total_interactions, fault_bursts=0
             )
-        engine = spec.make_engine(self.protocol, n=self.n)
-        report = engine.measure_availability(
+        return engine.measure_availability(
             sim, correct,
             total_interactions=total_interactions, checkpoint_every=checkpoint_every,
         )
-        self._row_events = [engine.events]
-        return report
 
     # ------------------------------------------------------------------
     # Retirement and per-row checks
@@ -550,12 +504,12 @@ class BatchCountsEngine:
         changes[:, diagonal, diagonal] &= sub > 1
         return ~changes.any(axis=(1, 2))
 
-    def _retire_silent(self, live, outcomes, states, max_interactions):
+    def _retire_silent(self, live, outcomes, engines, max_interactions):
         # A silent row with no fault stream is frozen forever: its
         # predicate stays False at every future check, so the per-trial
         # engine would idle to the budget and report exactly this.
         # Rows with faults stay live — a burst can corrupt them awake.
-        candidates = [row for row in live if states[row] is None]
+        candidates = [row for row in live if engines[row] is None]
         if not candidates:
             return list(live)
         silent = dict(zip(candidates, self._silent_rows(candidates)))
@@ -569,10 +523,10 @@ class BatchCountsEngine:
                 survivors.append(row)
         return survivors
 
-    def _normalize_faults(self, faults) -> list[Optional[FaultSpec]]:
-        if faults is None:
-            return [None] * self.trials
-        specs = list(faults)
+    def _fault_engines(self, faults) -> list[Optional[FaultEngine]]:
+        """One :class:`FaultEngine` per row with a :class:`FaultSpec`
+        (``None`` for fault-free rows)."""
+        specs = [None] * self.trials if faults is None else list(faults)
         if len(specs) != self.trials:
             raise ValueError(
                 f"faults must give one Optional[FaultSpec] per row: "
@@ -581,49 +535,47 @@ class BatchCountsEngine:
         for spec in specs:
             if spec is not None and not isinstance(spec, FaultSpec):
                 raise TypeError(f"faults entries must be FaultSpec or None, got {type(spec).__name__}")
-        return specs
+        return [
+            None if spec is None else spec.make_engine(self.protocol, n=self.n)
+            for spec in specs
+        ]
 
-    def _make_fault_state(self, spec) -> Optional[_RowFaultState]:
-        if spec is None:
-            return None
-        return _RowFaultState(spec, self.protocol, self.n)
-
-    def _claim_drive(self) -> None:
+    def _claim_drive(self, engines) -> None:
+        """Mark the engine driven; the rows' fault engines' event lists
+        become :meth:`fault_events`."""
         if self._driven:
             raise RuntimeError(
                 "this BatchCountsEngine has already been driven; build a "
                 "fresh engine per workload"
             )
         self._driven = True
+        self._row_events = [[] if engine is None else engine.events for engine in engines]
 
     # ------------------------------------------------------------------
     # The lockstep advance (burst slicing + the vectorized stepper)
     # ------------------------------------------------------------------
 
-    def _advance_rows(self, rows, position, target, states) -> None:
+    def _advance_rows(self, rows, position, target, engines) -> None:
         """Advance every row in ``rows`` from ``position`` to ``target``,
         firing each row's scheduled bursts at their interaction boundaries
-        (the batched twin of :meth:`FaultEngine._advance_to`)."""
+        (the batched form of :meth:`FaultEngine._advance_to`)."""
         pos = {row: position for row in rows}
         while True:
             stepping: list[int] = []
             amounts: list[int] = []
             all_done = True
             for row in rows:
-                state = states[row]
-                if state is not None:
+                engine = engines[row]
+                stop = target
+                if engine is not None:
                     # Fire every burst due at (or before) this row's
                     # current boundary — several can ceil to one position.
-                    while math.ceil(state.next_burst) <= pos[row]:
-                        self._fire_burst(row, state, pos[row])
+                    while engine.next_fire_at <= pos[row]:
+                        engine.fire(pos[row], partial(self._apply_row_fault, row))
+                    stop = min(stop, engine.next_fire_at)
                 if pos[row] >= target:
                     continue
                 all_done = False
-                stop = target
-                if state is not None:
-                    fire_at = math.ceil(state.next_burst)
-                    if fire_at < stop:
-                        stop = fire_at
                 stepping.append(row)
                 amounts.append(stop - pos[row])
                 pos[row] = stop
@@ -631,12 +583,9 @@ class BatchCountsEngine:
                 return
             self._step_rows(stepping, amounts)
 
-    def _fire_burst(self, row, state, position) -> None:
-        state.model.apply_counts(
-            self.protocol, self.counts[row], state.burst_size, state.corrupt
-        )
-        state.events.append(FaultEvent(position, []))
-        state.next_burst += state.schedule.exponential(state.mean_gap)
+    def _apply_row_fault(self, row, model, burst_size, generator) -> None:
+        """:meth:`FaultEngine.fire`'s applier for one row of the batch."""
+        model.apply_counts(self.protocol, self.counts[row], burst_size, generator)
 
     def _step_rows(self, rows, amounts) -> None:
         """Run ``amounts[i]`` interactions on each row of ``rows``, in

@@ -1,21 +1,19 @@
 """Backend-generic fault injection — named fault models, one burst law.
 
 The paper's opening premise is that state corruption is the rule, not the
-exception; self-stabilization is the answer.  The original fault machinery
-(:mod:`repro.sim.faults`) turns that into a measurable workload, but only
-on the object backend: it corrupts state *objects* through a
-per-interaction observer, which the vectorized engines deliberately do not
-have.  This module is the backend-generic replacement — the subsystem that
-lets every ``protocol × fault model × fault rate × n`` cell run on every
-execution engine, up to the ``n = 10⁶`` populations only the counts
-backend reaches (experiment E21).
+exception; self-stabilization is the answer.  This module turns that into
+a measurable workload on every execution engine: the subsystem that lets
+every ``protocol × fault model × fault rate × n`` cell run on every
+backend, up to the ``n = 10⁶`` populations only the counts backend
+reaches (experiment E21).  :mod:`repro.sim.faults` keeps the
+representation-free pieces (events, availability accounting, reports).
 
 **Fault models.**  A :class:`FaultModel` is one named corruption law with
 three *law-matched* appliers, one per configuration representation:
 
 * ``apply_config`` — per-agent corruption of a state-object list (the
-  object engine; for protocols without a finite encoding this wraps the
-  classic :data:`repro.sim.faults.AgentCorruption` scramblers);
+  object engine; for protocols without a finite encoding this wraps an
+  :data:`repro.sim.faults.AgentCorruption` scrambler);
 * ``apply_codes``  — vectorized index corruption of an ``(n,)`` state-code
   array (the array engine);
 * ``apply_counts`` — ``O(S)`` state-mass moves on an ``(S,)`` count vector
@@ -44,17 +42,20 @@ bit-identical given one corruption stream).  The built-in registry:
                         protocol, encoded or not).
 ======================  =====================================================
 
-**The burst engine.**  :class:`FaultEngine` owns two PCG64 streams derived
-from one seed: a *schedule* stream drawing exponential burst inter-arrival
-gaps (mean ``n / rate`` interactions — ``rate`` bursts per unit of
-parallel time), and a *corruption* stream feeding the appliers.  Because
-the schedule stream is consumed identically no matter which engine runs,
-the burst schedule is **bit-identical across backends for a given seed**
-(E21 gates this); the corruption draws are representation-shaped and match
-in law.  Injection slices ``run_batch`` at each burst's interaction
-boundary — on the counts backend this truncates the collision-free run at
-the burst, which is exact (the Markov property: restarting a run from the
-current counts is the counts process's own law).
+**The burst engine.**  :class:`FaultEngine` is the one burst scheduler:
+it owns two PCG64 streams derived from one seed, a *schedule* stream
+drawing exponential burst inter-arrival gaps (mean ``n / rate``
+interactions — ``rate`` bursts per unit of parallel time), and a
+*corruption* stream feeding the appliers.  Because the schedule stream is
+consumed identically no matter which engine runs, the burst schedule is
+**bit-identical across backends for a given seed** (E21 gates this); the
+corruption draws are representation-shaped and match in law.  Injection
+slices ``run_batch`` at each burst's interaction boundary — on the counts
+backend this truncates the collision-free run at the burst, which is
+exact (the Markov property: restarting a run from the current counts is
+the counts process's own law).  Callers that own their own run loop (the
+lockstep batch engine, one engine per row) drive the schedule through
+:attr:`FaultEngine.next_fire_at` and :meth:`FaultEngine.fire`.
 
 Drivers: :meth:`FaultEngine.run_until` stabilizes under continuous
 injection (the classic recovery workload) and
@@ -69,7 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 from weakref import WeakKeyDictionary
 
 from repro.core.elect_leader import ElectLeader
@@ -96,11 +97,9 @@ class FaultSpec:
 
     The portable form of a :class:`FaultEngine` construction: batch
     drivers (:mod:`repro.sim.batch_backend`) and sweep cells carry one
-    ``FaultSpec`` per trial row and materialize engines — or the
-    equivalent per-row stream state — from it.  ``seed`` is the engine
-    seed; the schedule and corruption streams derive from it with the
-    same tags a :class:`FaultEngine` uses, so a ``FaultSpec`` replayed
-    through any driver produces the bit-identical burst schedule.
+    ``FaultSpec`` per trial row and materialize one engine per row from
+    it with :meth:`make_engine`, so a ``FaultSpec`` replayed through any
+    driver produces the bit-identical burst schedule.
     """
 
     model: str
@@ -109,7 +108,7 @@ class FaultSpec:
     seed: int = 0
 
     def make_engine(self, protocol: PopulationProtocol, *, n: int) -> FaultEngine:
-        return make_fault_engine(
+        return FaultEngine(
             self.model, protocol, n=n, rate=self.rate,
             burst_size=self.burst_size, seed=self.seed,
         )
@@ -473,6 +472,7 @@ class FaultEngine:
     schedule stream's consumption never depends on the backend — so for a
     fixed seed the burst schedule (interaction indices and count) is
     bit-identical on every engine, while the corruption matches in law.
+    ``model`` is a :class:`FaultModel` or a registered model name.
 
     Attach to a *fresh* simulation (``metrics.interactions == 0``, checked
     by both drivers: burst positions and the budget count from zero); the
@@ -484,7 +484,7 @@ class FaultEngine:
 
     def __init__(
         self,
-        model: FaultModel,
+        model: str | FaultModel,
         protocol: PopulationProtocol,
         *,
         n: int,
@@ -493,10 +493,12 @@ class FaultEngine:
         seed: int = 0,
     ):
         np = require_numpy()
-        if rate <= 0:
-            raise ValueError("fault rate must be positive")
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"fault rate must be positive and finite, got {rate}")
         if burst_size < 1:
             raise ValueError("burst size must be at least one agent")
+        if isinstance(model, str):
+            model = get_fault_model(model)
         model.require(protocol)
         self.model = model
         self.protocol = protocol
@@ -511,21 +513,39 @@ class FaultEngine:
         self.events: list[FaultEvent] = []
 
     # ------------------------------------------------------------------
+    # The schedule
+    # ------------------------------------------------------------------
+
+    @property
+    def next_fire_at(self) -> int:
+        """The interaction boundary of the next burst: the first one at or
+        after its continuous arrival time."""
+        return math.ceil(self._next_burst)
+
+    def fire(self, position: int, apply: Callable[[FaultModel, int, Any], None]) -> None:
+        """Fire the next burst at interaction ``position``.
+
+        ``apply(model, burst_size, corruption_stream)`` corrupts the
+        configuration — ``sim.apply_fault`` for a per-trial engine, a row
+        applier for a batch.  The burst is recorded and the next gap
+        drawn, so the schedule stream advances by exactly one draw per
+        burst whoever fires it.
+        """
+        apply(self.model, self.burst_size, self._corrupt)
+        self.events.append(FaultEvent(position))
+        self._next_burst += self._schedule.exponential(self.mean_gap)
 
     def _advance_to(self, sim, position: int, target: int) -> None:
         """Run ``sim`` from ``position`` to ``target`` interactions,
-        firing every burst scheduled on the way (at the first interaction
-        boundary at or after its continuous arrival time)."""
+        firing every burst scheduled on the way."""
         while True:
-            fire_at = math.ceil(self._next_burst)
+            fire_at = self.next_fire_at
             if fire_at > target:
                 break
             if fire_at > position:
                 sim.run_batch(fire_at - position)
                 position = fire_at
-            sim.apply_fault(self.model, self.burst_size, self._corrupt)
-            self.events.append(FaultEvent(position, []))
-            self._next_burst += self._schedule.exponential(self.mean_gap)
+            self.fire(position, sim.apply_fault)
         if target > position:
             sim.run_batch(target - position)
 
@@ -568,11 +588,10 @@ class FaultEngine:
     ) -> AvailabilityReport:
         """Run the availability workload: inject, checkpoint, report.
 
-        Backend-generic twin of :func:`repro.sim.faults
-        .measure_availability`: runs the full budget under injection,
-        samples ``correct`` every ``checkpoint_every`` interactions, and
-        reports the available fraction plus one repair-time sample per
-        burst (measured to the first correct checkpoint after it).
+        Runs the full budget under injection, samples ``correct`` every
+        ``checkpoint_every`` interactions, and reports the available
+        fraction plus one repair-time sample per burst (measured to the
+        first correct checkpoint after it).
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
@@ -595,22 +614,6 @@ class FaultEngine:
             )
 
 
-def make_fault_engine(
-    model: str | FaultModel,
-    protocol: PopulationProtocol,
-    *,
-    n: int,
-    rate: float,
-    burst_size: int = 1,
-    seed: int = 0,
-) -> FaultEngine:
-    """Build a :class:`FaultEngine`, resolving a model name via the registry."""
-    resolved = get_fault_model(model) if isinstance(model, str) else model
-    return FaultEngine(
-        resolved, protocol, n=n, rate=rate, burst_size=burst_size, seed=seed
-    )
-
-
 __all__ = [
     "DEFAULT_FAULT_MODEL",
     "FAULT_MODELS",
@@ -626,6 +629,5 @@ __all__ = [
     "get_fault_model",
     "initial_state_code",
     "leader_code_mask",
-    "make_fault_engine",
     "register_fault_model",
 ]

@@ -77,7 +77,6 @@ from repro.sim.counts_backend import counts_aware, goal_counts_predicate
 from repro.sim.fault_engine import (
     DEFAULT_FAULT_MODEL,
     FAULT_MODELS,
-    FaultEngine,
     FaultSpec,
     get_fault_model,
 )
@@ -309,8 +308,8 @@ class GridSpec:
             if r < 1:
                 raise SweepError(f"trade-off parameter must be >= 1, got r={r}")
         for rate in self.fault_rates:
-            if rate < 0:
-                raise SweepError(f"fault rate must be >= 0, got {rate}")
+            if not (math.isfinite(rate) and rate >= 0):
+                raise SweepError(f"fault rate must be finite and >= 0, got {rate}")
         for burst in self.burst_sizes:
             if burst < 1:
                 raise SweepError(f"burst size must be >= 1, got {burst}")
@@ -343,7 +342,7 @@ class ScenarioSpec:
 
     Deliberately declarative — names and numbers only — so specs pickle
     in a few bytes and the worker rebuilds the heavyweight objects
-    (protocol, adversarial configuration, fault injector) locally from
+    (protocol, adversarial configuration, fault engine) locally from
     the derived seed.
     """
 
@@ -696,14 +695,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     timings = sim.instrument_steps() if tracer.enabled else None
     started = perf_counter() if tracer.enabled else 0.0
     if spec.fault_rate > 0:
-        engine = FaultEngine(
-            get_fault_model(spec.fault_model),
-            protocol,
-            n=spec.n,
-            rate=spec.fault_rate,
-            burst_size=spec.burst_size,
-            seed=derive_seed(spec.seed, _FAULT_STREAM),
-        )
+        engine = _fault_spec(spec).make_engine(protocol, n=spec.n)
         report = engine.measure_availability(
             sim, predicate,
             total_interactions=spec.max_interactions,

@@ -41,7 +41,7 @@ from repro.sim.counts_backend import (
     CountsSimulation,
     goal_counts_predicate,
 )
-from repro.sim.fault_engine import FaultSpec, make_fault_engine
+from repro.sim.fault_engine import FaultEngine, FaultSpec
 from repro.sim.initial_state import Clean, CountVector, Replicated
 from repro.sim.trials import run_trials
 from repro.substrates.epidemics import EpidemicProtocol
@@ -101,7 +101,7 @@ class TestSingleTrialAnchor:
         sim = CountsSimulation(
             protocol, counts=seeded_counts(32).to_counts(protocol), seed=4
         )
-        twin = make_fault_engine(
+        twin = FaultEngine(
             "scramble_burst", protocol, n=32, rate=3.0, burst_size=2, seed=9
         ).measure_availability(
             sim, pred, total_interactions=1_500, checkpoint_every=25

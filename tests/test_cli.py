@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -76,6 +78,13 @@ class TestInputValidation:
             main(argv)
         assert excinfo.value.code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["inf", "nan", "Infinity"])
+    def test_fault_rate_rejects_non_finite_values(self, text):
+        from repro.cli import _fault_rate
+
+        with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+            _fault_rate(text)
 
     def test_r_exceeding_half_n_is_one_clean_line(self, capsys):
         code = main(["run", "-n", "8", "-r", "7"])

@@ -40,7 +40,6 @@ from repro.sim.fault_engine import (  # noqa: E402
     get_fault_model,
     initial_state_code,
     leader_code_mask,
-    make_fault_engine,
     register_fault_model,
 )
 from repro.sim.initial_state import CodeArray  # noqa: E402
@@ -114,7 +113,7 @@ class TestSupports:
     def test_engine_requires_support(self):
         elect = ElectLeader(ProtocolParams(n=16, r=2))
         with pytest.raises(FaultEngineError, match="kill_leaders"):
-            make_fault_engine("kill_leaders", elect, n=16, rate=1.0)
+            FaultEngine("kill_leaders", elect, n=16, rate=1.0)
 
     def test_engine_rejects_bad_parameters(self, epidemic):
         with pytest.raises(ValueError, match="rate"):
@@ -122,6 +121,13 @@ class TestSupports:
         with pytest.raises(ValueError, match="burst size"):
             FaultEngine(get_fault_model("crash_reset"), epidemic, n=8, rate=1.0,
                         burst_size=0)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+    def test_engine_rejects_non_finite_rates(self, epidemic, rate):
+        # An infinite rate makes every gap 0 (the schedule never advances)
+        # and NaN cannot be ceiled to a burst position.
+        with pytest.raises(ValueError, match="finite"):
+            FaultEngine("crash_reset", epidemic, n=8, rate=rate)
 
 
 class TestLeaderMask:
@@ -143,7 +149,7 @@ class TestBurstSchedule:
             sim = make_simulation(
                 epidemic, init=CodeArray(infected_codes(256)), seed=11, backend=backend
             )
-            engine = make_fault_engine(
+            engine = FaultEngine(
                 "crash_reset", epidemic, n=256, rate=2.0, burst_size=2, seed=77
             )
             engine.measure_availability(
@@ -158,8 +164,8 @@ class TestBurstSchedule:
         for _ in range(2):
             sim = make_simulation(epidemic, init=CodeArray(infected_codes(128)), seed=3,
                                   backend="counts")
-            engine = make_fault_engine("scramble_burst", epidemic, n=128, rate=1.0,
-                                       seed=5)
+            engine = FaultEngine("scramble_burst", epidemic, n=128, rate=1.0,
+                                 seed=5)
             engine.measure_availability(
                 sim, goal_counts_predicate(epidemic),
                 total_interactions=5_000, checkpoint_every=100,
@@ -172,7 +178,7 @@ class TestBurstSchedule:
         for rate in (0.5, 4.0):
             sim = make_simulation(epidemic, init=CodeArray(infected_codes(128)), seed=3,
                                   backend="counts")
-            engine = make_fault_engine("crash_reset", epidemic, n=128, rate=rate, seed=9)
+            engine = FaultEngine("crash_reset", epidemic, n=128, rate=rate, seed=9)
             engine.measure_availability(
                 sim, goal_counts_predicate(epidemic),
                 total_interactions=40_000, checkpoint_every=1_000,
@@ -291,8 +297,8 @@ class TestDrivers:
             # One uninfected plant: run_until must re-converge despite rare
             # crash_reset bursts.
             sim.apply_fault(get_fault_model("crash_reset"), 4, fresh_generator(0))
-            engine = make_fault_engine("crash_reset", epidemic, n=128, rate=0.01,
-                                       seed=2)
+            engine = FaultEngine("crash_reset", epidemic, n=128, rate=0.01,
+                                 seed=2)
             result = engine.run_until(
                 sim, goal_counts_predicate(epidemic),
                 max_interactions=200_000, check_interval=64,
@@ -302,7 +308,7 @@ class TestDrivers:
     def test_run_until_already_converged_short_circuits(self, epidemic):
         sim = make_simulation(epidemic, init=CodeArray(infected_codes(64)), seed=1,
                               backend="counts")
-        engine = make_fault_engine("crash_reset", epidemic, n=64, rate=1.0, seed=3)
+        engine = FaultEngine("crash_reset", epidemic, n=64, rate=1.0, seed=3)
         result = engine.run_until(
             sim, goal_counts_predicate(epidemic),
             max_interactions=10_000, check_interval=100,
@@ -317,7 +323,7 @@ class TestDrivers:
         sim = make_simulation(epidemic, init=CodeArray(infected_codes(64)), seed=1,
                               backend=backend)
         sim.run(10)
-        engine = make_fault_engine("crash_reset", epidemic, n=64, rate=1.0, seed=3)
+        engine = FaultEngine("crash_reset", epidemic, n=64, rate=1.0, seed=3)
         predicate = goal_counts_predicate(epidemic)
         with pytest.raises(ValueError, match="fresh simulation.*10 interactions"):
             engine.run_until(sim, predicate, max_interactions=1_000, check_interval=10)
@@ -331,8 +337,8 @@ class TestDrivers:
     def test_availability_report_shape(self, epidemic):
         sim = make_simulation(epidemic, init=CodeArray(infected_codes(128)), seed=4,
                               backend="array")
-        engine = make_fault_engine("crash_reset", epidemic, n=128, rate=1.0,
-                                   burst_size=2, seed=5)
+        engine = FaultEngine("crash_reset", epidemic, n=128, rate=1.0,
+                             burst_size=2, seed=5)
         report = engine.measure_availability(
             sim, goal_counts_predicate(epidemic),
             total_interactions=10_000, checkpoint_every=300,
@@ -354,7 +360,7 @@ class TestDrivers:
                     epidemic, init=CodeArray(infected_codes(256)), seed=100 + seed,
                     backend=backend,
                 )
-                engine = make_fault_engine(
+                engine = FaultEngine(
                     "crash_reset", epidemic, n=256, rate=1.0, burst_size=4,
                     seed=200 + seed,
                 )

@@ -68,6 +68,11 @@ class TestGridSpec:
         with pytest.raises(SweepError):
             small_grid(ns=())
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+    def test_rejects_non_finite_fault_rates(self, rate):
+        with pytest.raises(SweepError, match="finite"):
+            small_grid(fault_rates=(rate,))
+
     def test_dict_round_trip(self):
         grid = small_grid()
         assert GridSpec.from_dict(grid.to_dict()) == grid
