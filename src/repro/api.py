@@ -2,10 +2,10 @@
 
 ``import repro.api as repro`` (or ``from repro.api import ...``) is the
 supported way to drive the reproduction programmatically.  Everything
-re-exported here is covered by the keyword-only calling conventions and
-pointed-``TypeError`` guarantees documented in the README; anything *not*
-listed in ``__all__`` — including the implementation modules themselves —
-is internal and may move between releases.
+re-exported here is covered by the keyword-only calling conventions
+documented in the README; anything *not* listed in ``__all__`` —
+including the implementation modules themselves — is internal and may
+move between releases.
 
 The module deliberately contains only ``from X import name`` statements:
 no submodule object is bound as an attribute, so internal modules are not

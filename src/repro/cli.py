@@ -426,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="statically check the repository's reproduction contracts",
         description="Run the AST/importlib contract checker (repro.lint) "
         "over the source tree: RNG discipline, backend-contract "
-        "conformance, registry-only dispatch, transition purity, removed "
-        "keyword shims and counts dtype width.  Exits 0 when clean, 1 "
+        "conformance, registry-only dispatch, transition purity, counts "
+        "dtype width and wall-clock discipline.  Exits 0 when clean, 1 "
         "when any rule fires.",
     )
     lint.add_argument(

@@ -10,7 +10,7 @@ invariants statically — an AST/``importlib``-hybrid analyzer with a rule
 registry mirroring the backend-registry idiom, run as ``repro lint`` and
 gated in CI.
 
-See :mod:`repro.lint.rules` for the shipped rules (L001–L006),
+See :mod:`repro.lint.rules` for the shipped rules,
 :mod:`repro.lint.engine` for file discovery / waivers / rule driving,
 and :mod:`repro.lint.reporting` for the text and JSON renderers.
 """

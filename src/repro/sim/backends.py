@@ -87,12 +87,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.protocol import PopulationProtocol
-from repro.sim.initial_state import (
-    InitialState,
-    reject_positional,
-    reject_removed_kwargs,
-    require_init,
-)
+from repro.sim.initial_state import InitialState, require_init
 
 #: Environment variable naming the default backend (see resolve_backend).
 BACKEND_ENV = "REPRO_BENCH_BACKEND"
@@ -209,17 +204,14 @@ def get_backend(name: str) -> Backend:
         raise ValueError(f"unknown backend '{name}' (known: {known})") from None
 
 
-def resolve_backend(backend: Optional[str] = None, *misused: Any) -> str:
+def resolve_backend(backend: Optional[str] = None) -> str:
     """Normalize a backend request: ``None`` → ``$REPRO_BENCH_BACKEND`` → default.
 
     The environment variable gives benchmarks and the CLI a process-wide
     default without threading a flag through every call site; an explicit
     ``backend=`` argument always wins.  Call this once at the entry point
     and pass the resolved name down (:func:`get_backend` from there on).
-    Takes exactly the one argument — extra positionals get the pointed
-    keyword-only TypeError, not a silent rebind.
     """
-    reject_positional("resolve_backend", misused, ("backend",))
     if backend is None:
         backend = os.environ.get(BACKEND_ENV, "") or DEFAULT_BACKEND
     return get_backend(backend).name
@@ -232,12 +224,11 @@ def supports_backend(protocol: PopulationProtocol, backend: str) -> Optional[str
 
 def make_simulation(
     protocol: PopulationProtocol,
-    *misused: Any,
+    *,
     init: Optional[InitialState] = None,
     n: Optional[int] = None,
     seed: int = 0,
     backend: Optional[str] = None,
-    **removed: Any,
 ) -> Any:
     """Build a simulation on the requested execution backend.
 
@@ -245,16 +236,9 @@ def make_simulation(
     :class:`~repro.sim.initial_state.InitialState` — or ``n`` for a clean
     start.  ``backend=None`` resolves the environment default; a
     non-``None`` name is treated as already resolved and looked up
-    directly.
-
-    Everything after ``protocol`` is keyword-only, with pointed
-    :class:`TypeError`\\ s for both misuse shapes: positional config
-    values (``make_simulation(p, init)`` would otherwise bind to nothing
-    meaningful) and the removed ``config=``/``codes=``/``counts=``
-    keyword triple (whose message names the ``init=`` replacement).
+    directly.  Everything after ``protocol`` is keyword-only.  Every
+    engine exposes the canonical surface (:data:`ENGINE_SURFACE`).
     """
-    reject_positional("make_simulation", misused, ("init", "n", "seed", "backend"))
-    reject_removed_kwargs("make_simulation", removed)
     init = require_init(init)
     entry = get_backend(backend if backend is not None else resolve_backend(None))
     return entry.factory(protocol, init=init, n=n, seed=seed)

@@ -332,6 +332,8 @@ class BatchCountsEngine:
         """
         if check_interval < 1:
             raise ValueError("check_interval must be positive")
+        if max_interactions < 0:
+            raise ValueError(f"max_interactions must be non-negative, got {max_interactions}")
         engines = self._fault_engines(faults)
         self._claim_drive(engines)
         if self._single is not None:
@@ -381,6 +383,10 @@ class BatchCountsEngine:
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
+        if total_interactions < 0:
+            raise ValueError(
+                f"total_interactions must be non-negative, got {total_interactions}"
+            )
         engines = self._fault_engines(faults)
         self._claim_drive(engines)
         if self._single is not None:

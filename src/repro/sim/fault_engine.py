@@ -595,6 +595,10 @@ class FaultEngine:
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
+        if total_interactions < 0:
+            raise ValueError(
+                f"total_interactions must be non-negative, got {total_interactions}"
+            )
         self._require_fresh(sim)
         accounting = AvailabilityAccounting()
         advance = partial(self._advance_to, sim)

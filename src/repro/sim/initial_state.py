@@ -1,16 +1,8 @@
 """The ``InitialState`` union — one currency for initial configurations.
 
-Before this module, every backend factory (and ``make_simulation``,
-``TrialSpec``, ``run_trials``) carried three mutually-exclusive kwargs —
-``config=`` (state objects), ``codes=`` (encoded state codes) and
-``counts=`` (an ``S``-length count vector) — plumbed in parallel through
-every dispatch layer.  Each new engine quadruplicated the plumbing, and
-callers holding an adversarial start had to know which representation the
-backend preferred (the ``Backend.counts_native`` flag existed only to
-answer that question).
-
-An :class:`InitialState` collapses all of that into one value.  Each
-member *is* one representation, and every member can materialize itself
+Every entry point (``make_simulation``, ``TrialSpec``, ``run_trials``)
+takes the start as one ``init=`` value.  Each member of the union *is*
+one representation, and every member can materialize itself
 into any representation on demand:
 
 * :class:`ObjectConfig` — a list of state objects (the object engine's
@@ -43,12 +35,8 @@ numpy-optional object runtime.  Materialization is pure: a
 call, so the same value yields the same start on every backend and in
 every process.
 
-The old ``config=``/``codes=``/``counts=`` keyword triple rode a
-one-release deprecation shim after the ``init=`` redesign and has now
-been **removed**: :func:`require_init` validates the ``init=`` argument
-and :func:`reject_removed_kwargs` turns any straggling legacy keyword
-into a :class:`TypeError` that names the replacement, so old call sites
-fail with a pointer instead of a generic signature error.
+:func:`require_init` validates an ``init=`` argument that arrives from
+outside the program.
 """
 
 from __future__ import annotations
@@ -322,19 +310,6 @@ class Replicated(InitialState):
         self._reject()
 
 
-#: Legacy keyword → the InitialState member that replaced it.  The shim
-#: that *translated* these shipped for exactly one release (PR 6); what
-#: remains is the clear rejection below.
-_REMOVED_KWARGS: dict[str, str] = {
-    "config": "ObjectConfig",
-    "codes": "CodeArray",
-    "counts": "CountVector",
-    "config_factory": "a per-trial init= factory returning ObjectConfig",
-    "codes_factory": "a per-trial init= factory returning CodeArray",
-    "counts_factory": "a per-trial init= factory returning CountVector",
-}
-
-
 def require_init(init: Optional[InitialState]) -> Optional[InitialState]:
     """Validate an ``init=`` argument (``None`` = clean ``n``-agent start)."""
     if init is not None and not isinstance(init, InitialState):
@@ -345,49 +320,6 @@ def require_init(init: Optional[InitialState]) -> Optional[InitialState]:
     return init
 
 
-def reject_positional(
-    where: str, misused: Sequence[Any], keywords: Sequence[str]
-) -> None:
-    """Raise a pointed :class:`TypeError` for positionally-passed config args.
-
-    The entry points' configuration arguments are keyword-only —
-    ``run_trials(protocol, predicate, 64, 5)`` would otherwise silently
-    bind ``n``-shaped ints to whatever parameter happens to come first.
-    ``misused`` is the ``*``-collected tuple of stray positionals;
-    ``keywords`` names the keyword-only parameters in declaration order,
-    so the message shows exactly the spelling the caller meant.
-    """
-    if not misused:
-        return
-    shown = ", ".join(f"{name}=..." for name in list(keywords)[: len(misused)])
-    count = len(misused)
-    raise TypeError(
-        f"{where}() takes its configuration arguments keyword-only; got "
-        f"{count} positional value{'s' if count != 1 else ''} — "
-        f"pass {shown} by name"
-    )
-
-
-def reject_removed_kwargs(where: str, kwargs: dict[str, Any]) -> None:
-    """Raise a pointed :class:`TypeError` for the removed keyword shim.
-
-    ``kwargs`` is a ``**``-collected dict of unexpected keywords; legacy
-    names get a message that names the ``init=`` replacement, anything
-    else the ordinary unexpected-keyword error.
-    """
-    if not kwargs:
-        return
-    name = next(iter(kwargs))
-    replacement = _REMOVED_KWARGS.get(name)
-    if replacement is not None:
-        raise TypeError(
-            f"{where}() no longer accepts {name}= (the one-release "
-            f"deprecation shim has been removed); pass init= with "
-            f"{replacement} instead (repro.sim.initial_state)"
-        )
-    raise TypeError(f"{where}() got an unexpected keyword argument {name!r}")
-
-
 __all__ = [
     "Clean",
     "CodeArray",
@@ -396,7 +328,5 @@ __all__ = [
     "ObjectConfig",
     "Replicated",
     "SampledStart",
-    "reject_positional",
-    "reject_removed_kwargs",
     "require_init",
 ]

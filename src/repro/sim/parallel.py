@@ -45,7 +45,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVa
 from repro.core.protocol import PopulationProtocol
 from repro.obs import SpanBuffer, get_tracer
 from repro.sim.backends import DEFAULT_BACKEND
-from repro.sim.initial_state import InitialState, reject_positional, require_init
+from repro.sim.initial_state import InitialState, require_init
 from repro.sim.simulation import ConfigPredicate, run_until
 
 
@@ -77,6 +77,12 @@ class TrialSpec:
 
     def __post_init__(self) -> None:
         require_init(self.init)
+        if self.max_interactions < 0:
+            raise ValueError(
+                f"max_interactions must be non-negative, got {self.max_interactions}"
+            )
+        if self.check_interval < 1:
+            raise ValueError(f"check_interval must be positive, got {self.check_interval}")
 
 
 @dataclass
@@ -132,21 +138,19 @@ def _picklable(specs: Sequence[TrialSpec]) -> bool:
 
 def run_trial_specs(
     specs: Iterable[TrialSpec],
-    *misused: Any,
+    *,
     workers: Optional[int] = 1,
 ) -> list[TrialOutcome]:
     """Execute specs on ``workers`` processes; outcomes come back in spec order.
 
-    ``workers`` is keyword-only: ``run_trial_specs(specs, 4)`` used to
-    read as "four specs" as easily as "four workers", so the count must
-    now be named.  ``workers=1`` (the default) runs in-process with zero
-    pool overhead, consuming ``specs`` lazily — a generator of specs is
-    built, run, and discarded one trial at a time, so peak memory stays
-    O(one config).  ``workers=None`` or ``0`` uses one worker per CPU.
-    Unpicklable specs (lambda predicates, closure-built protocols)
-    degrade to in-process execution with a warning rather than failing.
+    ``workers`` is keyword-only.  ``workers=1`` (the default) runs
+    in-process with zero pool overhead, consuming ``specs`` lazily — a
+    generator of specs is built, run, and discarded one trial at a time,
+    so peak memory stays O(one config).  ``workers=None`` or ``0`` uses
+    one worker per CPU.  Unpicklable specs (lambda predicates,
+    closure-built protocols) degrade to in-process execution with a
+    warning rather than failing.
     """
-    reject_positional("run_trial_specs", misused, ("workers",))
     if resolve_workers(workers) <= 1:
         return [run_trial(spec) for spec in specs]
     spec_list = list(specs)
@@ -195,7 +199,7 @@ def _run_span_buffered(fn: Callable[[_Item], _Result], span_name: str, item: _It
 def stream_ordered(
     items: Iterable[_Item],
     fn: Callable[[_Item], _Result],
-    *misused: Any,
+    *,
     workers: Optional[int] = 1,
     window: Optional[int] = None,
     span: Optional[str] = None,
@@ -209,11 +213,9 @@ def stream_ordered(
     ``map(fn, items)`` for any worker count.  Consumers can therefore
     checkpoint or aggregate incrementally without giving up determinism.
 
-    ``workers`` and ``window`` are keyword-only (a bare
-    ``stream_ordered(items, fn, 8)`` is ambiguous between the two);
-    stray positionals raise at *call* time, not first-``next`` time —
-    validation lives in this plain function, which then hands off to the
-    inner generator.
+    ``workers``, ``window`` and ``span`` are keyword-only.  A bad call
+    raises when it is made, not at the first ``next`` — this is a plain
+    function that validates, then hands off to the inner generator.
 
     ``items`` is consumed lazily: at most ``window`` items (default
     ``4 × workers``) are in flight or buffered at once, so arbitrarily
@@ -232,7 +234,6 @@ def stream_ordered(
     like the result stream.  With tracing disabled (the default) ``span``
     costs one attribute check and changes nothing.
     """
-    reject_positional("stream_ordered", misused, ("workers", "window", "span"))
     worker_count = resolve_workers(workers)
     if window is not None and window < 1:
         raise ValueError(f"window must be positive, got {window}")
@@ -324,7 +325,7 @@ def _stream_ordered(
 
 def run_trial_specs_streaming(
     specs: Iterable[TrialSpec],
-    *misused: Any,
+    *,
     workers: Optional[int] = 1,
     window: Optional[int] = None,
 ) -> Iterator[TrialOutcome]:
@@ -334,9 +335,8 @@ def run_trial_specs_streaming(
     each outcome is yielded as soon as it and all its predecessors have
     completed, so long sweeps can checkpoint incrementally.  The yielded
     sequence is identical to the blocking runner for any worker count.
-    ``workers`` and ``window`` are keyword-only, as everywhere on this
-    surface.  Each trial runs under a ``"trial"`` span when tracing is
-    enabled (worker pid + trial index labels, merged in spec order).
+    ``workers`` and ``window`` are keyword-only.  Each trial runs under a
+    ``"trial"`` span when tracing is enabled (worker pid + trial index
+    labels, merged in spec order).
     """
-    reject_positional("run_trial_specs_streaming", misused, ("workers", "window"))
     return stream_ordered(specs, run_trial, workers=workers, window=window, span="trial")

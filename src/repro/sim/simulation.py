@@ -21,14 +21,7 @@ from repro.core.protocol import PopulationProtocol
 from repro.obs import STEP_PHASES, perf_counter
 from repro.scheduler.rng import RNG, derive_seed, make_rng
 from repro.scheduler.scheduler import RandomScheduler
-
-# Legacy aliases: the canonical constants live in the backend registry
-# (cycle-free import — backends only needs core.protocol at module level).
-from repro.sim.backends import (  # noqa: F401
-    BACKEND_ARRAY,
-    BACKEND_ENV,
-    BACKEND_OBJECT,
-)
+from repro.sim import backends
 from repro.sim.metrics import Metrics
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -117,6 +110,8 @@ def drive_until(
     """
     if check_interval < 1:
         raise ValueError("check_interval must be positive")
+    if max_interactions < 0:
+        raise ValueError(f"max_interactions must be non-negative, got {max_interactions}")
     if sim.predicate_holds(predicate):
         return engine_result(sim, converged=True)
     for _ in checkpoints(advance, max_interactions, check_interval):
@@ -208,11 +203,7 @@ class TrialEngine:
 class Simulation(TrialEngine):
     """A single protocol execution under the uniform random scheduler.
 
-    The configuration arguments are keyword-only: ``Simulation(p, cfg)``
-    used to bind a stray int to ``config`` (and ``Simulation(p, cfg, 32,
-    7)`` an ``n``-shaped int to ``seed``) silently; now both get the
-    pointed :class:`TypeError` from :func:`~repro.sim.initial_state
-    .reject_positional`.
+    The configuration arguments are keyword-only.
 
     Step phases: ``draw`` (scheduler pair generation), ``apply``
     (transition dispatch), ``retire`` (predicate checks); ``match`` stays
@@ -222,14 +213,11 @@ class Simulation(TrialEngine):
     def __init__(
         self,
         protocol: PopulationProtocol,
-        *misused: Any,
+        *,
         config: Optional[list[Any]] = None,
         n: Optional[int] = None,
         seed: int = 0,
     ):
-        from repro.sim.initial_state import reject_positional
-
-        reject_positional("Simulation", misused, ("config", "n", "seed"))
         if config is None:
             if n is None:
                 raise ValueError("provide either an initial config or a population size n")
@@ -307,68 +295,19 @@ class Simulation(TrialEngine):
         model.apply_config(self.protocol, self.config, burst_size, generator)
 
 
-def resolve_backend(backend: Optional[str] = None, *misused: Any) -> str:
-    """Normalize a backend request (see :func:`repro.sim.backends.resolve_backend`)."""
-    from repro.sim import backends
-
-    return backends.resolve_backend(backend, *misused)
-
-
-def make_simulation(
-    protocol: PopulationProtocol,
-    *misused: Any,
-    init: Optional["InitialState"] = None,
-    n: Optional[int] = None,
-    seed: int = 0,
-    backend: Optional[str] = None,
-    **removed: Any,
-) -> Any:
-    """Build a simulation on the requested execution backend.
-
-    Thin delegate of :func:`repro.sim.backends.make_simulation`: the
-    engine is looked up in the backend registry and its factory builds
-    the simulation from the :class:`~repro.sim.initial_state
-    .InitialState` ``init`` (or a clean ``n``-agent start).  Every engine
-    exposes the canonical surface
-    (:data:`repro.sim.backends.ENGINE_SURFACE`).  The removed
-    ``config=``/``codes=``/``counts=`` triple raises a pointed
-    :class:`TypeError`.
-    """
-    from repro.sim import backends
-
-    return backends.make_simulation(
-        protocol, *misused, init=init, n=n, seed=seed, backend=backend, **removed
-    )
-
-
 def run_until(
     protocol: PopulationProtocol,
     predicate: ConfigPredicate,
-    *misused: Any,
+    *,
     init: Optional["InitialState"] = None,
     n: Optional[int] = None,
     seed: int = 0,
     max_interactions: int,
     check_interval: int = 1,
     backend: Optional[str] = None,
-    **removed: Any,
 ) -> SimulationResult:
-    """One-shot convenience wrapper around :func:`make_simulation`."""
-    from repro.sim.initial_state import reject_positional
-
-    reject_positional(
-        "run_until", misused, ("init", "n", "seed", "max_interactions")
-    )
-    sim = make_simulation(
-        protocol, init=init, n=n, seed=seed, backend=backend, **removed
-    )
+    """One-shot convenience wrapper around
+    :func:`repro.sim.backends.make_simulation`."""
+    sim = backends.make_simulation(protocol, init=init, n=n, seed=seed, backend=backend)
     return sim.run_until(predicate, max_interactions, check_interval)
 
-
-def __getattr__(name: str):
-    # Legacy alias: the static BACKENDS tuple became the live registry.
-    if name == "BACKENDS":
-        from repro.sim import backends
-
-        return backends.backend_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -977,20 +977,12 @@ def load_checkpoint(
         raise SweepError(f"{path}: unsupported checkpoint version {meta.get('version')}")
     stored_grid = meta.get("grid")
     if isinstance(stored_grid, dict):
-        # Checkpoints written before the backend / fault-model knobs
-        # existed carry no "backend"/"fault_models" keys; they are
-        # object-backend, default-model files, so defaulting the keys
-        # (mirroring ScenarioOutcome.from_record) keeps them resumable
-        # instead of rejecting them as "a different grid".
-        stored_grid = dict(stored_grid)
-        stored_grid.setdefault("backend", DEFAULT_BACKEND)
-        stored_grid.setdefault("burst_sizes", [1])
         if "fault_models" not in stored_grid:
-            # One exception: pre-fault-engine counts-backend cells with
-            # code-space adversaries drew the O(n) codes form; this
-            # version draws the O(S) counts twin (same law, different
-            # realization).  Resuming such a file would silently mix two
-            # start-configuration streams, so refuse it instead.
+            # Pre-fault-engine counts-backend cells with code-space
+            # adversaries drew the O(n) codes form; this version draws the
+            # O(S) counts twin (same law, different realization).  Resuming
+            # such a file would silently mix two start-configuration
+            # streams, so refuse it instead of defaulting its keys.
             if get_backend(grid.backend).native_form == NATIVE_COUNTS and any(
                 adversary in COUNTS_ADVERSARIES for adversary in grid.adversaries
             ):
@@ -1000,7 +992,7 @@ def load_checkpoint(
                     "law; finish it with the version that wrote it or start a "
                     "fresh output file"
                 )
-            stored_grid["fault_models"] = [DEFAULT_FAULT_MODEL]
+        stored_grid = _default_legacy_grid_keys(stored_grid)
     if stored_grid != grid.to_dict():
         raise SweepError(
             f"{path}: checkpoint was written for a different grid; "

@@ -14,9 +14,8 @@ Contracts gated here:
 * ``make_simulation`` routes to the right engine class and materializes
   one ``init=`` :class:`~repro.sim.initial_state.InitialState` into each
   engine's native form;
-* the deprecated ``config=``/``codes=``/``counts=`` kwargs go through
-  the one-release shim — a ``DeprecationWarning`` and a start identical
-  to the ``init=`` path;
+* the removed ``config=``/``codes=``/``counts=`` kwargs raise Python's
+  plain unexpected-keyword ``TypeError``;
 * the dispatch sites themselves (``simulation``/``trials``/``sweep``/
   ``cli``) contain no hardcoded backend-name conditionals.
 """
@@ -241,20 +240,21 @@ class TestMakeSimulation:
 
 
 class TestLegacyKwargsRemoved:
-    """``config=``/``codes=``/``counts=`` are gone; each points at ``init=``."""
+    """``config=``/``codes=``/``counts=`` (and ``*_factory=``) are gone:
+    ``init=`` is the only spelling, anything else a plain TypeError."""
 
     def test_removed_kwargs_point_at_init(self):
         protocol = PairwiseElimination(8)
-        with pytest.raises(TypeError, match=r"init= with CodeArray"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'codes'"):
             make_simulation(protocol, codes=[0] * 8, backend="object")
-        with pytest.raises(TypeError, match=r"init= with CountVector"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'counts'"):
             make_simulation(protocol, counts=[5, 3], backend="object")
-        with pytest.raises(TypeError, match=r"init= with ObjectConfig"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'config'"):
             make_simulation(protocol, config=protocol.clean_configuration(8))
 
     def test_removed_factory_kwargs_point_at_init(self):
         protocol = PairwiseElimination(8)
-        with pytest.raises(TypeError, match=r"init="):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'codes_factory'"):
             run_trials(
                 protocol,
                 protocol.is_goal_configuration,

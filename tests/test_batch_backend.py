@@ -242,6 +242,20 @@ class TestValidation:
         with pytest.raises(RuntimeError, match="already been driven"):
             engine.run_rows_until(pred, max_interactions=100, check_interval=10)
 
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_negative_budgets_rejected(self, trials):
+        protocol = EpidemicProtocol()
+        pred = epidemic_pred(protocol)
+        engine = BatchCountsEngine(
+            protocol, init=Replicated(seeded_counts(16), trials), seed=0
+        )
+        with pytest.raises(ValueError, match="max_interactions must be non-negative"):
+            engine.run_rows_until(pred, max_interactions=-5)
+        with pytest.raises(ValueError, match="total_interactions must be non-negative"):
+            engine.measure_rows_availability(
+                pred, total_interactions=-5, checkpoint_every=10
+            )
+
     def test_matrix_mode_has_no_single_trial_surface(self):
         protocol = EpidemicProtocol()
         engine = BatchCountsEngine(

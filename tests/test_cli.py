@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -286,3 +289,22 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             parser.parse_args(["sweep", "--backend", "not_a_backend"])
         capsys.readouterr()  # swallow argparse's usage message
+
+
+class TestNumpyFreeRuntime:
+    def test_run_works_with_numpy_blocked(self):
+        # pyproject.toml declares no runtime dependencies: the object
+        # engine and the CLI must run where numpy is not installed.
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(['run', '-n', '8', '-r', '2', '--seed', '1']))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "stabilized after" in completed.stdout

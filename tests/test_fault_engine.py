@@ -316,6 +316,16 @@ class TestDrivers:
         assert result.converged and result.interactions == 0
         assert engine.fault_bursts == 0
 
+    def test_availability_rejects_negative_budget(self, epidemic):
+        sim = make_simulation(epidemic, init=CodeArray(infected_codes(64)), seed=1,
+                              backend="counts")
+        engine = FaultEngine("crash_reset", epidemic, n=64, rate=0.1, seed=3)
+        with pytest.raises(ValueError, match="total_interactions must be non-negative"):
+            engine.measure_availability(
+                sim, goal_counts_predicate(epidemic),
+                total_interactions=-5, checkpoint_every=10,
+            )
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_drivers_reject_a_simulation_that_already_ran(self, epidemic, backend):
         # Burst positions and the budget count from zero, so a used engine

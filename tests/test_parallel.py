@@ -13,6 +13,8 @@ The two contracts under test:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.nonss_leader import PairwiseElimination
@@ -162,6 +164,18 @@ class TestTrialSpecs:
         assert outcome.index == 2
         assert outcome.converged
         assert outcome.parallel_time == outcome.interactions / 10
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("max_interactions", -5, "max_interactions must be non-negative"),
+            ("check_interval", 0, "check_interval must be positive"),
+        ],
+    )
+    def test_spec_rejects_bad_budget_and_interval(self, protocol, field, value, message):
+        spec = self._specs(protocol, 1)[0]
+        with pytest.raises(ValueError, match=message):
+            replace(spec, **{field: value})
 
     def test_pool_returns_spec_order(self, protocol):
         specs = self._specs(protocol, 6)

@@ -98,24 +98,18 @@ class TestSimulation:
         assert result.converged
 
 
+class TestBudgetValidation:
+    def test_run_until_rejects_negative_budget(self, protocol):
+        with pytest.raises(ValueError, match="max_interactions must be non-negative"):
+            run_until(protocol, protocol.is_goal_configuration, n=10, max_interactions=-5)
+
+    def test_zero_budget_only_checks_the_start(self, protocol):
+        result = run_until(protocol, protocol.is_goal_configuration, n=10, max_interactions=0)
+        assert not result.converged and result.interactions == 0
+
+
 class TestMetrics:
-    def test_event_counting(self):
-        metrics = Metrics(n=10)
-        metrics.interactions = 42
-        metrics.record_event("hard_reset")
-        metrics.record_event("hard_reset", 2)
-        assert metrics.events["hard_reset"] == 3
-        assert metrics.first_occurrence["hard_reset"] == 42
-
-    def test_zero_count_ignored(self):
-        metrics = Metrics(n=10)
-        metrics.record_event("x", 0)
-        assert "x" not in metrics.events
-        assert "x" not in metrics.first_occurrence
-
-    def test_as_dict(self):
+    def test_parallel_time(self):
         metrics = Metrics(n=4)
         metrics.interactions = 8
-        payload = metrics.as_dict()
-        assert payload["parallel_time"] == 2.0
-        assert payload["n"] == 4
+        assert metrics.parallel_time == 2.0

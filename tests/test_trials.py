@@ -84,6 +84,27 @@ class TestRunTrials:
         assert summary.label == protocol.name
 
 
+class TestInputValidation:
+    def test_rejects_negative_trials(self):
+        protocol = PairwiseElimination(8)
+        with pytest.raises(ValueError, match="trials must be non-negative"):
+            run_trials(
+                protocol, protocol.is_goal_configuration,
+                n=8, trials=-1, max_interactions=100,
+            )
+
+    @pytest.mark.parametrize("backend", ["object", "batch"])
+    def test_rejects_negative_budget(self, backend):
+        if backend == "batch":
+            pytest.importorskip("numpy")
+        protocol = PairwiseElimination(8)
+        with pytest.raises(ValueError, match="max_interactions must be non-negative"):
+            run_trials(
+                protocol, protocol.is_goal_configuration,
+                n=8, trials=2, max_interactions=-5, backend=backend,
+            )
+
+
 class TestSummaryStatistics:
     def test_percentiles(self):
         summary = TrialSummary(
@@ -175,7 +196,7 @@ class TestBackendSelection:
 
     def test_removed_factory_kwargs_raise(self):
         protocol = PairwiseElimination(8)
-        with pytest.raises(TypeError, match=r"init="):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'counts_factory'"):
             run_trials(
                 protocol,
                 protocol.is_goal_configuration,
@@ -250,7 +271,7 @@ class TestBackendSelection:
             for backend in ("object", "counts")
         ]
         assert all(s.converged == 3 for s in summaries)
-        with pytest.raises(TypeError, match=r"init="):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'codes_factory'"):
             run_trials(
                 protocol,
                 protocol.is_goal_configuration,
